@@ -1,0 +1,76 @@
+"""Golden digests: the SHA-256 of every file ``flgen generate --seed 2026``
+writes for all 18 languages, plain and ``--annotate``, at a twentieth of the
+default counts, plus the ``flgen editdist`` report of each regular language
+on its own probe split.
+
+A change that must keep the output bytes passes this unchanged.  Re-pin only
+when bytes change on purpose, and say why in CHANGES.md:
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from flgen.cli import main
+from flgen.dataset import ROLES, split_filename
+from flgen.langlib import LANGUAGE_NAMES, REGULAR_NAMES
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
+SEED = 2026
+SCALE = 20
+# repeat-01 has only 21 members of length <= 40; train and val-short at a
+# twentieth of the default counts would see them all, and test-short, which
+# excludes their texts, would find no unseen positive
+SHRUNK = {"repeat-01": {"train": 20, "val-short": 4}}
+
+
+def _override_args(name: str) -> list[str]:
+    counts = {role: max(1, count // SCALE) for role, (_id, count, _lo, _hi) in ROLES.items()}
+    counts.update(SHRUNK.get(name, {}))
+    return [arg for role, count in counts.items() for arg in ("--override", f"{role}={count}")]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def language_digests(name: str, work: Path) -> dict[str, str]:
+    """Digest of every generated split file, and of the editdist report."""
+    digests = {}
+    for mode, extra in (("plain", []), ("annotate", ["--annotate"])):
+        out = work / mode
+        argv = ["generate", "--language", name, "--seed", str(SEED), "--out", str(out)]
+        assert main([*argv, *_override_args(name), *extra]) == 0
+        for role in ROLES:
+            digests[f"{mode}/{role}"] = _sha256(out / split_filename(name, role))
+    if name in REGULAR_NAMES:
+        probes = work / "plain" / split_filename(name, "editdist-probe")
+        report = work / "editdist.tsv"
+        assert main(["editdist", "--language", name, str(probes), "--out", str(report)]) == 0
+        digests["editdist"] = _sha256(report)
+    return digests
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", LANGUAGE_NAMES)
+def test_output_matches_golden_digests(name, pinned, tmp_path, capsys):
+    got = language_digests(name, tmp_path)
+    capsys.readouterr()
+    assert got == pinned[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: language_digests(name, Path(tmp) / name) for name in LANGUAGE_NAMES}
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"pinned {sum(map(len, table.values()))} digests in {GOLDEN_PATH}")
