@@ -280,24 +280,6 @@ class WeightedDfa:
             raise UsageError("need one accept weight per state")
         self.accept_weights = accept_weights
 
-    def transitions_from(self, state: int) -> list[tuple[int, int, object]]:
-        """(symbol, target, weight) triples leaving ``state``, sorted by symbol."""
-        out = [
-            (sym, dst, w)
-            for (src, sym), (dst, w) in self.transitions.items()
-            if src == state
-        ]
-        out.sort(key=lambda t: t[0])
-        return out
-
-    def check_stochastic(self, tol: float = 1e-9) -> bool:
-        """For a real-weighted machine: outgoing mass plus accept mass is 1
-        at every state."""
-        totals = [self.accept_weights[q] for q in range(self.n_states)]
-        for (src, _sym), (_dst, w) in self.transitions.items():
-            totals[src] += w
-        return all(abs(t - 1.0) <= tol for t in totals)
-
 
 class Wfa:
     """Nondeterministic weighted automaton with optional epsilon arcs."""

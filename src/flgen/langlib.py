@@ -42,7 +42,10 @@ class LanguageSpec:
         self._contains = contains
         self._sample_positive = sample_positive
         self._next_sets = next_sets
-        self._tables: dict[tuple[int, int], SamplerTables] = {}
+        # one table per language, built to the widest horizon requested so
+        # far; each length range is a restriction of it
+        self._tables: SamplerTables | None = None
+        self._ranges: dict[tuple[int, int], SamplerTables] = {}
         if dfa is not None:
             ok, witness = check_trim(dfa)
             if not ok:
@@ -80,9 +83,12 @@ class LanguageSpec:
         if self.dfa is None:
             raise UsageError(f"{self.name} is procedural and has no sampler tables")
         key = (n_min, n_max)
-        if key not in self._tables:
-            self._tables[key] = build_sampler_tables(self.dfa, n_min, n_max)
-        return self._tables[key]
+        if key not in self._ranges:
+            if self._tables is None or n_max > self._tables.n_max:
+                self._tables = build_sampler_tables(self.dfa, n_min, n_max)
+                self._ranges.clear()
+            self._ranges[key] = self._tables.restrict(n_min, n_max)
+        return self._ranges[key]
 
     def _dfa_next_sets(self, symbols: list[int]) -> list[frozenset[int]]:
         state = self.dfa.start

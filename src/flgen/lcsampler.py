@@ -1,131 +1,39 @@
 """Length-constrained sampling from the uniform-policy distribution of a DFA.
 
-The pipeline lifts a trim partial DFA into length-binned log weights, closes
-the transition matrix with a generic all-pairs star, pushes the backward
-weights into per-state local distributions conditioned on how many symbols
-remain, and then draws strings symbol by symbol.  The local tables make each
-draw O(log fan-out) after an O(n_states^3 * n_max^2) preprocessing step.
+Every DFA arc consumes exactly one symbol, so beta(q)[i], the probability
+that the uniform-policy walk from q emits exactly i more symbols and stops,
+is a plain recursion over lengths: bin i of beta(q) log-sum-exps its
+targets' bin i-1, scaled by the policy probability, and bin 0 holds the
+stopping probability.  The per-state local tables normalize the
+targets' shifted weights within each remaining-length bin, and a draw walks
+them symbol by symbol.  Preprocessing costs O(arcs * n_max); each draw step
+is one bisect over the state's fan-out.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .automata import EOS, PartialDfa, WeightedDfa, check_trim, compute_next_sets
+from .automata import PartialDfa, check_trim, compute_next_sets
 from .errors import ConfigurationError, UsageError
-from .semiring import LOG, BinningSemiring, Semiring, binning
-
-
-def lift_weights(dfa: PartialDfa, n_max: int) -> WeightedDfa:
-    """Attach length-binned log weights for the uniform-policy distribution.
-
-    At a state with j outgoing transitions (plus stopping, when accepting)
-    every choice gets probability 1/k, k = j + accepting.  Transition
-    weights put that mass in bin 1 (one symbol consumed); accept weights
-    put it in bin 0.
-    """
-    ok, witness = check_trim(dfa)
-    if not ok:
-        raise UsageError(f"lifting needs a trim DFA; state {witness} is not live")
-    if n_max < 0:
-        raise UsageError(f"n_max must be nonnegative, got {n_max}")
-    sr = binning(LOG, n_max)
-    transitions = {}
-    accept_weights = []
-    for q in range(dfa.n_states):
-        outs = dfa.transitions_from(q)
-        k = len(outs) + (1 if dfa.is_accepting(q) else 0)
-        p = -np.log(k)
-        for sym, dst in outs:
-            w = sr.zero
-            if n_max >= 1:
-                w[1] = p
-            transitions[(q, sym)] = (dst, w)
-        rho = sr.zero
-        if dfa.is_accepting(q):
-            rho[0] = p
-        accept_weights.append(rho)
-    return WeightedDfa(dfa.n_states, dfa.alphabet, sr, transitions, dfa.start, accept_weights)
-
-
-def lehmann(matrix: list[list], semiring: Semiring) -> list[list]:
-    """All-pairs closure of a weighted adjacency matrix over a closed semiring.
-
-    Entry (i, j) of the result sums every path from i to j, the empty path
-    included on the diagonal.  Eliminates one pivot state per round, taking
-    the star of its self-loop weight.
-    """
-    n = len(matrix)
-    cur = [[matrix[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        a = semiring.star(cur[k][k])
-        pivot_row = cur[k]
-        nxt = []
-        for i in range(n):
-            through = semiring.mul(cur[i][k], a)
-            nxt.append(
-                [semiring.add(cur[i][j], semiring.mul(through, pivot_row[j])) for j in range(n)]
-            )
-        cur = nxt
-    for i in range(n):
-        cur[i][i] = semiring.add(cur[i][i], semiring.one)
-    return cur
-
-
-def backward(wdfa: WeightedDfa) -> list:
-    """Per state, the summed weight of all accepting runs that start there."""
-    sr = wdfa.semiring
-    n = wdfa.n_states
-    adj = [[sr.zero for _ in range(n)] for _ in range(n)]
-    for (src, _sym), (dst, w) in wdfa.transitions.items():
-        adj[src][dst] = sr.add(adj[src][dst], w)
-    closure = lehmann(adj, sr)
-    beta = []
-    for q in range(n):
-        acc = sr.zero
-        for r in range(n):
-            acc = sr.add(acc, sr.mul(closure[q][r], wdfa.accept_weights[r]))
-        beta.append(acc)
-    return beta
 
 
 @dataclass
 class StateTable:
     """Local sampling table for one state.
 
-    ``probs[j, i]`` is the probability of taking transition j (sorted by
-    symbol id) given that exactly i more symbols will be consumed before
-    stopping.  Bin 0 is never a valid condition for taking a transition, so
-    column 0 is marked unavailable rather than holding numbers.
+    ``rows[i]`` is the cumulative probability over the state's transitions
+    (sorted by symbol id) given that exactly i more symbols will be consumed
+    before stopping, as a tuple whose last entry is 1.0, or None where no
+    mass remains.  Bin 0 is always None.
     """
 
-    symbols: np.ndarray
-    targets: np.ndarray
-    probs: np.ndarray
-    available: np.ndarray
-    cumulative: np.ndarray = field(init=False)
-    _rows: list = field(init=False, repr=False)
-    _symbols: list = field(init=False, repr=False)
-    _targets: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # cumulative along the transition axis, stored bins-first so a
-        # bin lookup during sampling touches contiguous memory
-        cum = np.cumsum(self.probs, axis=0).T.copy()
-        if cum.size:
-            cum[self.available, -1] = 1.0
-        self.cumulative = cum
-        # plain-Python mirrors: the per-draw bisect is several times faster
-        # on tuples of floats than on strided numpy columns
-        self._rows = [
-            tuple(cum[i]) if self.available[i] else None
-            for i in range(self.available.shape[0])
-        ]
-        self._symbols = [int(s) for s in self.symbols]
-        self._targets = [int(t) for t in self.targets]
+    symbols: list[int]
+    targets: list[int]
+    rows: list[tuple[float, ...] | None]
 
 
 @dataclass
@@ -144,55 +52,70 @@ class SamplerTables:
     def __post_init__(self):
         self._valid_set = frozenset(self.valid_lengths)
 
-
-def push_weights(lifted: WeightedDfa) -> tuple[list[StateTable], np.ndarray]:
-    """Turn backward weights into per-state local distributions.
-
-    For each state and each remaining-length bin i >= 1, the probability of
-    a transition is proportional to its weight times the target's backward
-    weight at bin i-1, normalized across the state's transitions.  Also
-    returns the start state's backward weights, the per-length allsum.
-    """
-    sr = lifted.semiring
-    if not isinstance(sr, BinningSemiring) or sr.base is not LOG:
-        raise UsageError("push_weights expects length-binned log weights")
-    order = sr.order
-    beta = backward(lifted)
-    tables = []
-    for q in range(lifted.n_states):
-        rows = []
-        symbols = []
-        targets = []
-        for sym, dst, w in lifted.transitions_from(q):
-            # mass sits in bin 1, so the product is beta[dst] shifted by one
-            shifted = np.full(order + 1, -np.inf)
-            if order >= 1:
-                shifted[1:] = beta[dst][:-1] + float(w[1])
-            symbols.append(sym)
-            targets.append(dst)
-            rows.append(shifted)
-        if rows:
-            logits = np.stack(rows)
-            peak = logits.max(axis=0)
-            available = peak > -np.inf
-            probs = np.zeros_like(logits)
-            cols = np.nonzero(available)[0]
-            if cols.size:
-                shifted_cols = np.exp(logits[:, cols] - peak[cols])
-                probs[:, cols] = shifted_cols / shifted_cols.sum(axis=0)
-        else:
-            logits = np.zeros((0, order + 1))
-            available = np.zeros(order + 1, dtype=bool)
-            probs = logits
-        tables.append(
-            StateTable(
-                symbols=np.array(symbols, dtype=np.int64),
-                targets=np.array(targets, dtype=np.int64),
-                probs=probs,
-                available=available,
-            )
+    def restrict(self, n_min: int, n_max: int) -> SamplerTables:
+        """The same tables serving [n_min, n_max].  Bin i of beta reads only
+        bin i-1, so a table built to a wider horizon holds exactly the bins a
+        narrower build would."""
+        return replace(
+            self, n_min=n_min, n_max=n_max,
+            valid_lengths=valid_lengths(self.allsum_z, n_min, n_max),
         )
-    return tables, np.asarray(beta[lifted.start])
+
+
+def _policy(dfa: PartialDfa) -> tuple[list[list[tuple[int, int]]], np.ndarray]:
+    """Each state's (symbol, target) transitions, sorted by symbol, and the
+    log-probability of each choice there: at a state with j transitions
+    (plus stopping, when accepting) every choice has probability 1/k, k = j
+    + accepting."""
+    outs = [dfa.transitions_from(q) for q in range(dfa.n_states)]
+    log_p = np.array([-np.log(len(o) + dfa.is_accepting(q)) for q, o in enumerate(outs)])
+    return outs, log_p
+
+
+def beta_by_length(dfa: PartialDfa, n_max: int) -> np.ndarray:
+    """log beta, shape (n_states, n_max + 1): entry (q, i) is the
+    log-probability that the uniform-policy walk from q emits exactly i more
+    symbols and stops."""
+    n = dfa.n_states
+    outs, log_p = _policy(dfa)
+    accepting = np.array([dfa.is_accepting(q) for q in range(n)])
+    # padded target matrix; index n points at an all -inf row
+    targets = np.full((n, max(map(len, outs), default=0)), n)
+    for q, o in enumerate(outs):
+        targets[q, :len(o)] = [dst for _sym, dst in o]
+    beta = np.full((n_max + 1, n + 1), -np.inf)
+    beta[0, :n] = np.where(accepting, log_p, -np.inf)
+    for i in range(1, n_max + 1):
+        gathered = beta[i - 1, targets]
+        peak = gathered.max(axis=1, initial=-np.inf)
+        shift = np.where(peak > -np.inf, peak, 0.0)
+        with np.errstate(divide="ignore"):
+            total = np.log(np.exp(gathered - shift[:, None]).sum(axis=1))
+        beta[i, :n] = log_p + shift + total
+    return beta[:, :n].T.copy()
+
+
+def _state_table(outs: list[tuple[int, int]], log_p: float, beta: np.ndarray) -> StateTable:
+    """Normalize each transition's weight times its target's beta at bin i-1
+    across the state's transitions, for every bin i >= 1."""
+    n_bins = beta.shape[1]
+    symbols = [sym for sym, _dst in outs]
+    targets = [dst for _sym, dst in outs]
+    if not outs:
+        return StateTable(symbols, targets, [None] * n_bins)
+    logits = np.full((len(outs), n_bins), -np.inf)
+    logits[:, 1:] = beta[targets, :-1] + log_p
+    peak = logits.max(axis=0)
+    cols = np.flatnonzero(peak > -np.inf)
+    shifted = np.exp(logits[:, cols] - peak[cols])
+    # cumulative along the transition axis; the last entry of every row is
+    # forced to 1.0 so a uniform draw u < 1 always lands on a transition
+    cum = np.cumsum(shifted / shifted.sum(axis=0), axis=0).T
+    cum[:, -1] = 1.0
+    rows: list[tuple[float, ...] | None] = [None] * n_bins
+    for i, row in zip(cols.tolist(), cum.tolist()):
+        rows[i] = tuple(row)
+    return StateTable(symbols, targets, rows)
 
 
 def valid_lengths(allsum_z: np.ndarray, n_min: int, n_max: int) -> tuple[int, ...]:
@@ -210,8 +133,12 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
     """Preprocess a trim DFA for exact-length sampling over [n_min, n_max]."""
     if n_min < 0 or n_min > n_max:
         raise UsageError(f"bad length range [{n_min}, {n_max}]")
-    lifted = lift_weights(dfa, n_max)
-    pushed, z = push_weights(lifted)
+    ok, witness = check_trim(dfa)
+    if not ok:
+        raise UsageError(f"sampling needs a trim DFA; state {witness} is not live")
+    beta = beta_by_length(dfa, n_max)
+    pushed = [_state_table(outs, lp, beta) for outs, lp in zip(*_policy(dfa))]
+    z = beta[dfa.start]
     return SamplerTables(
         dfa=dfa,
         n_min=n_min,
@@ -232,22 +159,20 @@ def sample_string(
         raise UsageError(f"length {n} is not a valid length for this table")
     pushed = tables.pushed
     next_sets = tables.next_sets
-    rand = rng.random
     q = tables.dfa.start
     out: list[int] = []
     nexts = [next_sets[q]]
-    for remaining in range(n, 0, -1):
+    # one call draws the same PCG64 stream as n scalar rng.random() calls
+    for remaining, u in zip(range(n, 0, -1), rng.random(n).tolist()):
         st = pushed[q]
-        row = st._rows[remaining]
+        row = st.rows[remaining]
         if row is None:
             raise AssertionError(
                 f"no mass at state {q} with {remaining} symbols remaining"
             )
-        j = bisect_right(row, rand())
-        if j >= len(row):
-            j = len(row) - 1
-        out.append(st._symbols[j])
-        q = st._targets[j]
+        j = bisect_right(row, u)
+        out.append(st.symbols[j])
+        q = st.targets[j]
         nexts.append(next_sets[q])
     if not tables.dfa.is_accepting(q):
         raise AssertionError(f"sampler stopped in non-accepting state {q}")

@@ -1,8 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here recomputes expected values from first principles (plain
-dynamic programming, exhaustive enumeration, textbook edit distance) without
-touching the production code paths under test.
+dynamic programming, exhaustive enumeration, textbook edit distance, the
+generic semiring closure over length-binned weights) without touching the
+production code paths under test.
 """
 
 import math
@@ -10,7 +11,8 @@ from collections import deque
 
 import numpy as np
 
-from flgen.automata import EOS, Alphabet, PartialDfa
+from flgen.automata import EOS, Alphabet, PartialDfa, WeightedDfa
+from flgen.semiring import LOG, Semiring, binning
 
 BITS = Alphabet(["0", "1"])
 
@@ -56,6 +58,75 @@ def uniform_policy_length_probs(dfa: PartialDfa, n_top: int) -> np.ndarray:
         cur = step @ cur
         out.append(cur[dfa.start])
     return np.array(out)
+
+
+def lift_weights(dfa: PartialDfa, n_max: int) -> WeightedDfa:
+    """Attach length-binned log weights for the uniform-policy distribution.
+
+    At a state with j outgoing transitions (plus stopping, when accepting)
+    every choice gets probability 1/k, k = j + accepting.  Transition
+    weights put that mass in bin 1 (one symbol consumed); accept weights
+    put it in bin 0.
+    """
+    sr = binning(LOG, n_max)
+    transitions = {}
+    accept_weights = []
+    for q in range(dfa.n_states):
+        outs = dfa.transitions_from(q)
+        k = len(outs) + (1 if dfa.is_accepting(q) else 0)
+        p = -np.log(k)
+        for sym, dst in outs:
+            w = sr.zero
+            if n_max >= 1:
+                w[1] = p
+            transitions[(q, sym)] = (dst, w)
+        rho = sr.zero
+        if dfa.is_accepting(q):
+            rho[0] = p
+        accept_weights.append(rho)
+    return WeightedDfa(dfa.n_states, dfa.alphabet, sr, transitions, dfa.start, accept_weights)
+
+
+def lehmann(matrix: list[list], semiring: Semiring) -> list[list]:
+    """All-pairs closure of a weighted adjacency matrix over a closed semiring.
+
+    Entry (i, j) of the result sums every path from i to j, the empty path
+    included on the diagonal.  Eliminates one pivot state per round, taking
+    the star of its self-loop weight.
+    """
+    n = len(matrix)
+    cur = [[matrix[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        a = semiring.star(cur[k][k])
+        pivot_row = cur[k]
+        nxt = []
+        for i in range(n):
+            through = semiring.mul(cur[i][k], a)
+            nxt.append(
+                [semiring.add(cur[i][j], semiring.mul(through, pivot_row[j])) for j in range(n)]
+            )
+        cur = nxt
+    for i in range(n):
+        cur[i][i] = semiring.add(cur[i][i], semiring.one)
+    return cur
+
+
+def backward(wdfa: WeightedDfa) -> list:
+    """Per state, the summed weight of all accepting runs that start there,
+    through the generic closure: O(n_states^3) semiring operations."""
+    sr = wdfa.semiring
+    n = wdfa.n_states
+    adj = [[sr.zero for _ in range(n)] for _ in range(n)]
+    for (src, _sym), (dst, w) in wdfa.transitions.items():
+        adj[src][dst] = sr.add(adj[src][dst], w)
+    closure = lehmann(adj, sr)
+    beta = []
+    for q in range(n):
+        acc = sr.zero
+        for r in range(n):
+            acc = sr.add(acc, sr.mul(closure[q][r], wdfa.accept_weights[r]))
+        beta.append(acc)
+    return beta
 
 
 def enumerate_with_probs(dfa: PartialDfa, n: int) -> dict[tuple[int, ...], float]:

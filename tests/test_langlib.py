@@ -13,6 +13,7 @@ from flgen.langlib import (
     build_regular_dfa,
     get_language,
 )
+from flgen.lcsampler import build_sampler_tables, sample_positive_regular
 from flgen.perturb import sample_negative
 
 from .oracles import bounded_next_oracle
@@ -340,6 +341,23 @@ def test_infeasible_ranges():
     for name, lo, hi in cases:
         with pytest.raises(ConfigurationError):
             get_language(name).sample_positive(lo, hi, rng)
+
+
+@pytest.mark.parametrize("name", REGULAR_NAMES)
+def test_shared_table_serves_narrow_range_exactly(name):
+    lang = get_language(name)
+    wide = lang.sampler_tables(0, 500)
+    narrow = lang.sampler_tables(0, 40)
+    assert narrow.pushed is wide.pushed
+    assert (narrow.n_min, narrow.n_max) == (0, 40)
+    fresh = build_sampler_tables(lang.dfa, 0, 40)
+    assert narrow.valid_lengths == fresh.valid_lengths
+    assert all(w.rows[:41] == f.rows for w, f in zip(wide.pushed, fresh.pushed))
+    for seed in range(3):
+        rng_shared, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            assert (sample_positive_regular(narrow, rng_shared)
+                    == sample_positive_regular(fresh, rng_fresh))
 
 
 def test_out_of_alphabet_symbols():

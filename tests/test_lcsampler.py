@@ -1,4 +1,5 @@
-"""Exact-length sampling: closure examples, oracle agreement, distributions."""
+"""Exact-length sampling: the DP over lengths against the generic closure
+oracle, local tables, distributions."""
 
 import math
 
@@ -7,12 +8,10 @@ import pytest
 
 from flgen.automata import EOS, check_trim
 from flgen.errors import ConfigurationError, UsageError
+from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.lcsampler import (
-    backward,
+    beta_by_length,
     build_sampler_tables,
-    lehmann,
-    lift_weights,
-    push_weights,
     sample_positive_regular,
     sample_string,
     valid_lengths,
@@ -20,9 +19,12 @@ from flgen.lcsampler import (
 from flgen.semiring import LOG, REAL, TROPICAL
 
 from .oracles import (
+    backward,
     enumerate_with_probs,
     even_pairs_dfa,
     first_dfa,
+    lehmann,
+    lift_weights,
     parity_dfa,
     repeat01_dfa,
     uniform_policy_length_probs,
@@ -71,13 +73,13 @@ def test_lift_weights_structure():
     assert np.all(rho1[1:] == -np.inf)
 
 
-def test_lift_weights_requires_trim():
+def test_build_sampler_tables_requires_trim():
     from flgen.automata import PartialDfa
     from .oracles import BITS
 
     dfa = PartialDfa(3, BITS, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0, [1])
     with pytest.raises(UsageError, match="trim"):
-        lift_weights(dfa, 4)
+        build_sampler_tables(dfa, 0, 4)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_DFAS))
@@ -88,6 +90,21 @@ def test_backward_matches_dp_oracle(name):
     want = uniform_policy_length_probs(dfa, 8)
     got = np.exp(np.asarray(beta[dfa.start]))
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _oracle_beta(dfa, n_max):
+    return np.array([np.asarray(b) for b in backward(lift_weights(dfa, n_max))])
+
+
+@pytest.mark.parametrize("name", REGULAR_NAMES)
+def test_beta_by_length_matches_lehmann_oracle(name):
+    dfa = get_language(name).dfa
+    got = beta_by_length(dfa, 80)
+    want = _oracle_beta(dfa, 80)
+    assert got.shape == want.shape == (dfa.n_states, 81)
+    assert np.array_equal(got > -np.inf, want > -np.inf)
+    finite = want > -np.inf
+    assert np.abs(got[finite] - want[finite]).max() <= 1e-9
 
 
 def test_valid_lengths_examples():
@@ -118,23 +135,35 @@ def test_allsum_total_mass_bounded_and_near_one():
 
 
 def test_push_weights_columns_normalize():
-    for name, builder in ALL_DFAS.items():
-        tables = build_sampler_tables(builder(), 0, 12)
-        for st in tables.pushed:
-            assert not st.available[0]
-            if st.probs.size == 0:
-                continue
-            sums = st.probs.sum(axis=0)
-            assert np.all(np.abs(sums[st.available] - 1.0) <= 1e-6)
-            assert np.all(sums[~st.available] == 0.0)
+    """Each row's increments are the transition probabilities given the
+    remaining length, recomputed from the closure oracle's backward weights;
+    a row is None exactly where no transition carries mass."""
+    for name in REGULAR_NAMES:
+        dfa = get_language(name).dfa
+        tables = build_sampler_tables(dfa, 0, 12)
+        beta = np.exp(_oracle_beta(dfa, 12))
+        for q, st in enumerate(tables.pushed):
+            outs = dfa.transitions_from(q)
+            assert st.symbols == [sym for sym, _dst in outs]
+            assert st.targets == [dst for _sym, dst in outs]
+            assert st.rows[0] is None
+            for i in range(1, 13):
+                mass = beta[st.targets, i - 1]
+                row = st.rows[i]
+                if mass.sum() == 0.0:
+                    assert row is None, (name, q, i)
+                    continue
+                assert row[-1] == 1.0
+                steps = np.diff(row, prepend=0.0)
+                assert np.abs(steps - mass / mass.sum()).max() <= 1e-9, (name, q, i)
 
 
 def test_push_weights_parity_of_available_bins():
     tables = build_sampler_tables(repeat01_dfa(), 0, 10)
-    avail0 = tables.pushed[0].available
+    rows0 = tables.pushed[0].rows
     # from the start only even totals remain, so a transition is only
     # conditionable on even remaining counts >= 2
-    assert [int(i) for i in np.nonzero(avail0)[0]] == [2, 4, 6, 8, 10]
+    assert [i for i, row in enumerate(rows0) if row is not None] == [2, 4, 6, 8, 10]
 
 
 def test_sample_string_rejects_invalid_length():
@@ -214,12 +243,3 @@ def test_build_sampler_tables_validates_range():
         build_sampler_tables(parity_dfa(), 3, 2)
     with pytest.raises(UsageError):
         build_sampler_tables(parity_dfa(), -1, 2)
-
-
-def test_push_weights_requires_binned_log():
-    from flgen.automata import WeightedDfa
-    from .oracles import BITS
-
-    wdfa = WeightedDfa(1, BITS, REAL, {(0, 0): (0, 0.5)}, 0, [0.5])
-    with pytest.raises(UsageError):
-        push_weights(wdfa)
