@@ -124,6 +124,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 def _generate_suite(config: RunConfig) -> dict[str, DatasetSplit]:
     lang = get_language(config.language)
+    if lang.dfa is not None:
+        # build the sampler once, at the widest horizon of any split; every
+        # narrower range is served from the same table
+        widest = 0
+        for role, (*_, default_max) in ROLES.items():
+            n_max = config.overrides.get(role, (None, None, None))[2]
+            widest = max(widest, default_max if n_max is None else n_max)
+        lang.sampler_tables(0, widest)
     if not config.overrides:
         return generate_standard_suite(lang, config.seed, annotate=config.annotate)
     splits: dict[str, DatasetSplit] = {}

@@ -76,8 +76,13 @@ def beta_by_length(dfa: PartialDfa, n_max: int) -> np.ndarray:
     """log beta, shape (n_states, n_max + 1): entry (q, i) is the
     log-probability that the uniform-policy walk from q emits exactly i more
     symbols and stops."""
+    return _beta(dfa, *_policy(dfa), n_max)
+
+
+def _beta(
+    dfa: PartialDfa, outs: list[list[tuple[int, int]]], log_p: np.ndarray, n_max: int
+) -> np.ndarray:
     n = dfa.n_states
-    outs, log_p = _policy(dfa)
     accepting = np.array([dfa.is_accepting(q) for q in range(n)])
     # padded target matrix; index n points at an all -inf row
     targets = np.full((n, max(map(len, outs), default=0)), n)
@@ -136,8 +141,9 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
     ok, witness = check_trim(dfa)
     if not ok:
         raise UsageError(f"sampling needs a trim DFA; state {witness} is not live")
-    beta = beta_by_length(dfa, n_max)
-    pushed = [_state_table(outs, lp, beta) for outs, lp in zip(*_policy(dfa))]
+    outs, log_p = _policy(dfa)
+    beta = _beta(dfa, outs, log_p, n_max)
+    pushed = [_state_table(o, lp, beta) for o, lp in zip(outs, log_p)]
     z = beta[dfa.start]
     return SamplerTables(
         dfa=dfa,

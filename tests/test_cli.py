@@ -44,6 +44,25 @@ def _tamper_label(path: Path, record_line: int, out: Path) -> None:
 # generate
 
 
+def test_generate_builds_one_sampler_table_at_the_widest_horizon(tmp_path, monkeypatch):
+    import flgen.langlib as langlib
+
+    lang = get_language("parity")
+    monkeypatch.setattr(lang, "_tables", None)
+    monkeypatch.setattr(lang, "_ranges", {})
+    builds = []
+    build = langlib.build_sampler_tables
+
+    def counted(dfa, n_min, n_max):
+        builds.append((n_min, n_max))
+        return build(dfa, n_min, n_max)
+
+    monkeypatch.setattr(langlib, "build_sampler_tables", counted)
+    _generate(tmp_path)
+    # SMALL asks for [0, 40], [0, 60] and [0, 80]
+    assert builds == [(0, 80)]
+
+
 def test_generate_writes_six_files_and_summary(tmp_path, capsys):
     out = _generate(tmp_path)
     files = sorted(p.name for p in out.iterdir())

@@ -90,6 +90,7 @@ def test_backward_matches_dp_oracle(name):
     want = uniform_policy_length_probs(dfa, 8)
     got = np.exp(np.asarray(beta[dfa.start]))
     assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(np.exp(beta_by_length(dfa, 8)[dfa.start]), want, atol=1e-12)
 
 
 def _oracle_beta(dfa, n_max):
@@ -137,9 +138,11 @@ def test_allsum_total_mass_bounded_and_near_one():
 def test_push_weights_columns_normalize():
     """Each row's increments are the transition probabilities given the
     remaining length, recomputed from the closure oracle's backward weights;
-    a row is None exactly where no transition carries mass."""
-    for name in REGULAR_NAMES:
-        dfa = get_language(name).dfa
+    a row is None exactly where no transition carries mass.  Covers the
+    seven shipped DFAs and the inline ones."""
+    dfas = {name: get_language(name).dfa for name in REGULAR_NAMES}
+    dfas.update((f"inline {name}", make()) for name, make in ALL_DFAS.items())
+    for name, dfa in dfas.items():
         tables = build_sampler_tables(dfa, 0, 12)
         beta = np.exp(_oracle_beta(dfa, 12))
         for q, st in enumerate(tables.pushed):
