@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -185,13 +184,10 @@ def cmd_generate(config: RunConfig) -> int:
 def _read_input_strings(path: Path) -> list[str]:
     """A generated split file contributes its example texts; anything else
     is treated as one input string per line."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
-    first = raw.splitlines()[0] if raw.splitlines() else ""
-    if first.startswith("{"):
-        split = read_split(path)
-        return [ex.text for ex in split.examples]
-    return raw.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if lines and lines[0].startswith("{"):
+        return [ex.text for ex in read_split(path).examples]
+    return lines
 
 
 def cmd_editdist(args: argparse.Namespace) -> int:
@@ -207,10 +203,7 @@ def cmd_editdist(args: argparse.Namespace) -> int:
     lines = []
     for text in texts:
         result = edit_distance(lang.dfa, lang.parse(text))
-        if result.distance == math.inf:
-            lines.append(f"inf\t-\t{text}")
-        else:
-            lines.append(f"{result.distance}\t{lang.render(result.witness)}\t{text}")
+        lines.append(f"{result.distance}\t{lang.render(result.witness)}\t{text}")
     report = "\n".join(lines) + ("\n" if lines else "")
     if args.out is None:
         sys.stdout.write(report)
@@ -231,7 +224,6 @@ def cmd_validate(paths: list[Path]) -> int:
         except (ParseError, IntegrityError) as exc:
             violations.append(f"{path}: {exc}")
             continue
-        get_language(split.language)
         violations.extend(f"{path}: {v}" for v in validate_split(split))
     if violations:
         for line in violations[:MAX_REPORTED_VIOLATIONS]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .automata import EOS, EOS_GLYPH
-from .errors import ConfigurationError, GenerationError, IntegrityError, ParseError
+from .errors import ConfigurationError, GenerationError, IntegrityError, ParseError, UsageError
 from .langlib import LanguageSpec, get_language
 from .perturb import sample_negative
 
@@ -32,6 +32,11 @@ ROLES: dict[str, tuple[int, int, int, int]] = {
 }
 
 DEFAULT_DEDUP_ATTEMPTS = 1_000
+
+# required field -> its JSON type; the optional "next" is checked by _parse_next
+HEADER_FIELDS = {"format": str, "language": str, "role": str,
+                 "n_min": int, "n_max": int, "seed": int, "count": int}
+RECORD_FIELDS = {"text": str, "label": int}
 
 
 @dataclass(frozen=True)
@@ -170,13 +175,15 @@ def _render_next(lang: LanguageSpec, next_sets) -> list[list[str]]:
 
 
 def _parse_next(lang: LanguageSpec, arrays, line_no: int) -> tuple[frozenset[int], ...]:
+    if type(arrays) is not list or any(type(arr) is not list for arr in arrays):
+        raise ParseError("next must be a list of lists of symbols", line_no)
     out = []
     for arr in arrays:
         ids = set()
         for glyph in arr:
             if glyph == EOS_GLYPH:
                 ids.add(EOS)
-            elif glyph in lang.alphabet:
+            elif type(glyph) is str and glyph in lang.alphabet:
                 ids.add(lang.alphabet.id_of(glyph))
             else:
                 raise ParseError(f"unknown symbol {glyph!r} in next field", line_no)
@@ -211,19 +218,21 @@ def read_split(path) -> DatasetSplit:
     if not lines:
         raise ParseError("empty split file", 1)
 
-    def load(line_no: int) -> dict:
+    def load(line_no: int, fields: dict[str, type]) -> dict:
         try:
             obj = json.loads(lines[line_no - 1])
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad record: {exc.msg}", line_no) from exc
         if not isinstance(obj, dict):
             raise ParseError("record is not an object", line_no)
+        for field, kind in fields.items():
+            if field not in obj:
+                raise ParseError(f"missing field {field!r}", line_no)
+            if type(obj[field]) is not kind:  # so a bool is not an int
+                raise ParseError(f"{field!r} must be {kind.__name__}, got {obj[field]!r}", line_no)
         return obj
 
-    header = load(1)
-    for field in ("format", "language", "role", "n_min", "n_max", "seed", "count"):
-        if field not in header:
-            raise ParseError(f"header missing field {field!r}", 1)
+    header = load(1, HEADER_FIELDS)
     if header["format"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format {header['format']!r}", 1)
     lang = get_language(header["language"])
@@ -234,15 +243,12 @@ def read_split(path) -> DatasetSplit:
         )
     examples = []
     for line_no in range(2, len(lines) + 1):
-        record = load(line_no)
-        if "text" not in record or "label" not in record:
-            missing = "text" if "text" not in record else "label"
-            raise ParseError(f"record missing field {missing!r}", line_no)
+        record = load(line_no, RECORD_FIELDS)
         if record["label"] not in (0, 1):
             raise ParseError(f"label must be 0 or 1, got {record['label']!r}", line_no)
         try:
             symbols = tuple(lang.alphabet.encode(record["text"]))
-        except Exception as exc:
+        except UsageError as exc:
             raise ParseError(f"cannot tokenize text: {exc}", line_no) from exc
         next_sets = None
         if "next" in record:

@@ -1,9 +1,7 @@
-"""Exact edit distance from a string to a regular language.
-
-Pipeline: a chain-shaped tropical WFA whose stringsum against any u equals
-the Levenshtein distance between u and the query string; the language DFA
-lifted to tropical weights (cost 0 on members, unreachable otherwise); their
-product; and a min-plus shortest-path allsum with witness reconstruction.
+"""Exact edit distance from a string to a regular language: ``edit_distance``
+is Wagner's column DP (Wagner 1974, *Order-n correction for regular
+languages*), O(|w| · arcs).  The chain-WFA product route after it is the
+reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -18,16 +16,91 @@ from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim
 from .errors import UsageError
 from .semiring import TROPICAL
 
-# Dense all-pairs closure is quadratic in memory and cubic in time, so past
-# this many product states the allsum switches to single-source relaxation,
-# which is exact for these nonnegative weights.
-FW_MAX_STATES = 256
-
 
 @dataclass(frozen=True)
 class EditDistanceResult:
     distance: int | float
     witness: tuple[int, ...] | None
+
+
+def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
+    """d(L, word): fewest single-symbol edits from ``word`` to a member, and
+    one member at that distance.
+
+    Column i holds, per state q, the fewest edits that turn word[:i] into a
+    string leading from the start to q.  Column i comes from column i-1 by
+    consuming word[i-1] along an arc (cost 0 on a match, 1 otherwise) or by
+    deleting it (cost 1, same state); insertions (cost 1 along an arc) then
+    relax the column until it stops changing.
+
+    Ties, which fix the witness: into each state, a consuming step beats a
+    deletion of equal cost; among arcs, the first in (source, symbol) order
+    wins; an insertion replaces a step only when strictly cheaper.  The
+    witness ends at the lowest-id cheapest accepting state.
+    """
+    ok, state = check_trim(dfa)
+    if not ok:
+        raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
+    n_states, n_syms = dfa.delta.shape
+    w = np.asarray(word, dtype=np.int64)
+    foreign = w[(w < 0) | (w >= n_syms)]
+    if foreign.size:
+        raise UsageError(f"symbol id {foreign[0]} outside the alphabet")
+
+    src, sym = np.nonzero(dfa.delta >= 0)  # arcs in (source, symbol) order
+    n_arcs = len(src)
+    big = len(w) + n_states  # above every reachable column entry
+    # in_arc[q]: the arcs into q in that order, padded with a dummy id n_arcs
+    # whose step costs big; argmin over a row then picks the first cheapest
+    into: list[list[int]] = [[] for _ in range(n_states)]
+    for k, q in enumerate(dfa.delta[src, sym]):
+        into[q].append(k)
+    width = max(1, max(map(len, into)))
+    in_arc = np.array([arcs + [n_arcs] * (width - len(arcs)) for arcs in into])
+    pad = in_arc == n_arcs
+    in_src = np.append(src, 0)[in_arc]
+    mismatch = np.append(sym, 0)[in_arc] != np.arange(n_syms)[:, None, None]
+    consume_cost = np.where(pad, big, mismatch)  # per symbol read
+    insert_cost = np.where(pad, big, 1)
+    states = np.arange(n_states)
+
+    col = np.full(n_states, big)
+    col[dfa.start] = 0
+    # via[i, q]: arc into q at column i, n_arcs + it if inserted, -1 if deleted or the start
+    via = np.full((len(w) + 1, n_states), -1)
+    for i in range(len(w) + 1):
+        if i:
+            cost = col[in_src] + consume_cost[w[i - 1]]
+            first = cost.argmin(axis=1)
+            step = cost[states, first]
+            deleted = col + 1 < step
+            via[i] = np.where(deleted, -1, in_arc[states, first])
+            col = np.minimum(col + 1, step)
+        stepped = col
+        while True:
+            cost = col[in_src] + insert_cost
+            first = cost.argmin(axis=1)
+            inserted = cost[states, first]
+            if not (inserted < col).any():
+                break
+            col = np.minimum(col, inserted)
+        relaxed = col < stepped
+        via[i, relaxed] = n_arcs + in_arc[states, first][relaxed]
+
+    q = min(dfa.accepting, key=lambda s: (col[s], s))  # the lowest-id cheapest
+    distance = int(col[q])
+    witness = []
+    i = len(w)
+    while i or q != dfa.start:
+        k = int(via[i, q])
+        if k < n_arcs:  # word[i-1] consumed along arc k, or deleted if k is -1
+            i -= 1
+        else:
+            k -= n_arcs
+        if k >= 0:
+            witness.append(int(sym[k]))
+            q = int(src[k])
+    return EditDistanceResult(distance, tuple(reversed(witness)))
 
 
 def build_chain_wfa(word, alphabet) -> Wfa:
@@ -91,54 +164,14 @@ def wfa_intersect(a: WeightedDfa, b: Wfa) -> Wfa:
     return Wfa(a.n_states * nb, a.alphabet, arcs, a.start * nb + b.start, accept)
 
 
-def _best_direct_arcs(wfa: Wfa) -> dict[tuple[int, int], tuple[float, object]]:
-    ranked: dict[tuple[int, int], tuple[tuple[float, int], object]] = {}
-    for src, label, w, dst in wfa.arcs:
-        key = (src, dst)
-        order = (w, -1 if label is EPSILON else label)
-        if key not in ranked or order < ranked[key][0]:
-            ranked[key] = (order, label)
-    return {key: (order[0], label) for key, (order, label) in ranked.items()}
-
-
-def _allsum_floyd_warshall(wfa: Wfa) -> tuple[float, list | None]:
-    n = wfa.n_states
-    direct = _best_direct_arcs(wfa)
-    dist = np.full((n, n), np.inf)
-    for (i, j), (w, _label) in direct.items():
-        dist[i, j] = w
-    via = np.full((n, n), -1, dtype=np.int64)
-    for k in range(n):
-        alt = dist[:, k : k + 1] + dist[k : k + 1, :]
-        better = alt < dist
-        dist = np.where(better, alt, dist)
-        via[better] = k
-    for i in range(n):
-        if dist[i, i] > 0.0:
-            dist[i, i] = 0.0
-            via[i, i] = -2
-
-    accept = np.asarray(wfa.accept_weights)
-    totals = dist[wfa.start] + accept
-    r = int(np.argmin(totals))
-    if not np.isfinite(totals[r]):
-        return math.inf, None
-
-    def labels(i: int, j: int) -> list:
-        k = via[i, j]
-        if k == -2:
-            return []
-        if k == -1:
-            return [direct[(i, j)][1]]
-        return labels(i, int(k)) + labels(int(k), j)
-
-    return float(totals[r]), labels(wfa.start, r)
-
-
-def _allsum_dijkstra(wfa: Wfa) -> tuple[float, list | None]:
+def shortest_allsum(wfa: Wfa) -> EditDistanceResult:
+    """Minimum-cost accepted run weight from the start state by Dijkstra,
+    which is exact for these nonnegative weights, with one optimal run's
+    consumed symbols as witness; infinite, without one, when no accepting
+    state is reachable."""
     n = wfa.n_states
     adjacency: list[list[tuple[float, int, object]]] = [[] for _ in range(n)]
-    for (src, dst), (w, label) in _best_direct_arcs(wfa).items():
+    for src, label, w, dst in wfa.arcs:
         adjacency[src].append((w, dst, label))
     dist = np.full(n, np.inf)
     prev: dict[int, tuple[int, object]] = {}
@@ -158,43 +191,12 @@ def _allsum_dijkstra(wfa: Wfa) -> tuple[float, list | None]:
     totals = dist + np.asarray(wfa.accept_weights)
     r = int(np.argmin(totals))
     if not np.isfinite(totals[r]):
-        return math.inf, None
+        return EditDistanceResult(math.inf, None)
     labels = []
     q = r
     while q in prev:
         q, label = prev[q]
         labels.append(label)
     labels.reverse()
-    return float(totals[r]), labels
-
-
-def shortest_allsum(wfa: Wfa, method: str | None = None) -> EditDistanceResult:
-    """Minimum-cost accepted run weight from the start state, with one
-    optimal run's consumed symbols as witness.
-
-    ``method`` forces a route ("floyd-warshall" or "dijkstra"); by default
-    small automata take the dense closure and large ones single-source
-    relaxation.
-    """
-    if method is None:
-        method = "floyd-warshall" if wfa.n_states <= FW_MAX_STATES else "dijkstra"
-    if method == "floyd-warshall":
-        total, labels = _allsum_floyd_warshall(wfa)
-    elif method == "dijkstra":
-        total, labels = _allsum_dijkstra(wfa)
-    else:
-        raise UsageError(f"unknown allsum method {method!r}")
-    if labels is None:
-        return EditDistanceResult(math.inf, None)
     witness = tuple(lab for lab in labels if lab is not EPSILON)
-    return EditDistanceResult(int(round(total)), witness)
-
-
-def edit_distance(dfa: PartialDfa, word, method: str | None = None) -> EditDistanceResult:
-    """d(L, word): fewest single-symbol edits from ``word`` to a member."""
-    ok, state = check_trim(dfa)
-    if not ok:
-        raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
-    chain = build_chain_wfa(word, dfa.alphabet)
-    lifted = lift_tropical(dfa)
-    return shortest_allsum(wfa_intersect(lifted, chain), method=method)
+    return EditDistanceResult(int(round(totals[r])), witness)

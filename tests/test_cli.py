@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from flgen.cli import main
-from flgen.dataset import read_split
+from flgen.dataset import generate_split, read_split, write_split
 from flgen.langlib import get_language
 
 from .oracles import levenshtein
@@ -188,6 +188,48 @@ def test_validate_caps_report_at_twenty(tmp_path, capsys):
     report = capsys.readouterr().out.splitlines()
     assert len(report) == 21
     assert report[-1] == "... and 10 more"
+
+
+@pytest.fixture(scope="module")
+def annotated_split(tmp_path_factory):
+    path = tmp_path_factory.mktemp("split") / "parity.val-short.jsonl"
+    lang = get_language("parity")
+    write_split(generate_split(lang, "val-short", 3, annotate=True, count=6, n_max=10), path)
+    assert main(["validate", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("header", "n_min", "0"),
+    ("header", "n_max", True),
+    ("header", "count", "6"),
+    ("header", "seed", None),
+    ("header", "language", ["parity"]),
+    ("header", "role", ["val-short"]),
+    ("record", "next", 5),
+    ("record", "next", [5]),
+    ("record", "next", ["01"]),
+    ("record", "label", True),
+    ("record", "text", 5),
+])
+def test_mistyped_field_exits_1_with_line_number(
+    annotated_split, tmp_path, capsys, where, field, value
+):
+    """validate and editdist, which both read splits, reject a field of the
+    wrong JSON type with its line number instead of a traceback."""
+    lines = annotated_split.read_text().splitlines()
+    line_no = 1 if where == "header" else next(
+        n for n, line in enumerate(lines, 1) if '"next"' in line)
+    obj = json.loads(lines[line_no - 1])
+    obj[field] = value
+    lines[line_no - 1] = json.dumps(obj)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    assert f"line {line_no}: " in capsys.readouterr().out
+    assert main(["editdist", "--language", "parity", str(bad)]) == 1
+    assert f"line {line_no}: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

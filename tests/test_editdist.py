@@ -1,6 +1,7 @@
-"""Edit-distance pipeline tests: chain automaton against a direct
-Levenshtein oracle, tropical lifting, product composition, both allsum
-routes, and end-to-end distances against brute-force enumeration."""
+"""Edit-distance tests: the column DP against the product reference route
+and brute-force enumeration; the reference route's chain automaton against a
+direct Levenshtein oracle, tropical lifting, product composition and
+allsum."""
 
 import math
 
@@ -10,7 +11,6 @@ from numpy.random import default_rng
 
 from flgen.automata import EPSILON, PartialDfa, Wfa, dfa_accepts, wfa_stringsum
 from flgen.editdist import (
-    FW_MAX_STATES,
     EditDistanceResult,
     build_chain_wfa,
     edit_distance,
@@ -19,7 +19,7 @@ from flgen.editdist import (
     wfa_intersect,
 )
 from flgen.errors import UsageError
-from flgen.langlib import get_language
+from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.perturb import apply_edits, sample_negative
 
 from .oracles import BITS, batch_min_levenshtein, enumerate_members, levenshtein
@@ -154,64 +154,59 @@ def test_allsum_unreachable_accept():
     assert shortest_allsum(wfa) == EditDistanceResult(math.inf, None)
 
 
-def test_allsum_rejects_unknown_method():
-    wfa = Wfa(1, BITS, [], 0, [0.0])
-    with pytest.raises(UsageError):
-        shortest_allsum(wfa, method="bellman-ford")
-
-
-def test_allsum_routes_agree():
-    """Dense closure and single-source relaxation give the same distance
-    on the same product, and each witness independently checks out."""
-    rng = default_rng(5150)
-    for name in ["parity", "even-pairs", "dyck-2-3"]:
-        lang = get_language(name)
-        n_syms = len(lang.alphabet)
-        for _ in range(25):
-            w = _random_word(rng, n_syms, 12, min_len=6)
-            product = wfa_intersect(
-                lift_tropical(lang.dfa), build_chain_wfa(w, lang.alphabet)
-            )
-            fw = shortest_allsum(product, method="floyd-warshall")
-            dj = shortest_allsum(product, method="dijkstra")
-            assert fw.distance == dj.distance
-            for result in (fw, dj):
-                if result.distance != math.inf:
-                    assert dfa_accepts(lang.dfa, result.witness)
-                    assert levenshtein(result.witness, w) == result.distance
-
-
-def test_large_product_takes_relaxation_route():
-    """Above the dense-closure cutoff the default route still matches a
-    forced dense run."""
-    dyck = get_language("dyck-2-3")
-    rng = default_rng(88)
-    w = _random_word(rng, 4, 24, min_len=20)
-    product = wfa_intersect(lift_tropical(dyck.dfa), build_chain_wfa(w, dyck.alphabet))
-    assert product.n_states > FW_MAX_STATES
-    auto = shortest_allsum(product)
-    forced = shortest_allsum(product, method="floyd-warshall")
-    assert auto.distance == forced.distance
-
-
 # ---------------------------------------------------------------------------
 # end-to-end
+
+
+def _probes(lang, rng, count=10, max_len=500):
+    """The empty word, then ``count`` probes over length strata of
+    [0, max_len]: uniform strings and members with 1-3 random edits, in turn."""
+    n_syms = len(lang.alphabet)
+    probes = [[]]
+    for i in range(count):
+        lo, hi = max_len * i // count, max_len * (i + 1) // count
+        if i % 2 == 0:
+            probes.append(_random_word(rng, n_syms, hi, min_len=lo))
+        else:
+            member = lang.sample_positive(lo, hi, rng)
+            word, _ = apply_edits(member, int(rng.integers(1, 4)), n_syms, 0, max_len, rng)
+            probes.append(word)
+    return probes
+
+
+@pytest.mark.parametrize("name", REGULAR_NAMES)
+def test_column_dp_matches_product_reference(name):
+    """On every shipped DFA the column DP gives the product route's distance
+    on probes of up to 500 symbols, and its witness is a member at exactly
+    that distance."""
+    lang = get_language(name)
+    rng = default_rng(70_000 + len(name))
+    lifted = lift_tropical(lang.dfa)
+    for word in _probes(lang, rng):
+        result = edit_distance(lang.dfa, word)
+        reference = shortest_allsum(wfa_intersect(lifted, build_chain_wfa(word, lang.alphabet)))
+        assert result.distance == reference.distance
+        assert dfa_accepts(lang.dfa, result.witness)
+        assert levenshtein(result.witness, word) == result.distance
 
 
 def test_pipeline_frozen_examples():
     rep = get_language("repeat-01")
     result = edit_distance(rep.dfa, rep.alphabet.encode("0"))
-    assert result.distance == 1
-    assert result.witness in {(), tuple(rep.alphabet.encode("01"))}
+    # deleting the 0 and inserting a 1 after it both cost 1; an insertion
+    # wins only when strictly cheaper
+    assert result == EditDistanceResult(1, ())
 
+    # into the accepting state, the 1-arc from state 0 (substituting the
+    # last 0) ties with and comes before the 0-arc from state 1 (a match
+    # after substituting the first 0)
     parity = get_language("parity")
-    assert edit_distance(parity.dfa, parity.alphabet.encode("00")).distance == 1
+    result = edit_distance(parity.dfa, parity.alphabet.encode("00"))
+    assert result == EditDistanceResult(1, tuple(parity.alphabet.encode("01")))
 
     dyck = get_language("dyck-2-3")
     result = edit_distance(dyck.dfa, dyck.alphabet.encode("[(])"))
-    assert result.distance == 2
-    assert dfa_accepts(dyck.dfa, result.witness)
-    assert levenshtein(result.witness, dyck.alphabet.encode("[(])")) == 2
+    assert result == EditDistanceResult(2, tuple(dyck.alphabet.encode("[]()")))
 
 
 def test_members_have_distance_zero():
@@ -287,7 +282,7 @@ def test_dyck_negatives_cluster_near_the_language():
     draws = 10_000
     for _ in range(draws):
         word = sample_negative(lang, 0, 12, rng)
-        d = edit_distance(lang.dfa, word, method="dijkstra").distance
+        d = edit_distance(lang.dfa, word).distance
         assert d >= 1
         if d in (1, 2):
             near += 1

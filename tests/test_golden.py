@@ -7,9 +7,13 @@ A change that must keep the output bytes passes this unchanged.  Re-pin only
 when bytes change on purpose, and say why in CHANGES.md:
 
     PYTHONPATH=src python -m tests.test_golden
+
+It prints every key whose digest changed against the file it overwrites.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -61,6 +65,13 @@ def pinned():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def test_changed_keys_names_every_difference():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "3"}}
+    new = {"a": {"x": "1", "y": "9", "z": "4"}, "c": {"x": "3"}}
+    assert changed_keys(old, new) == ["a/y", "a/z", "b/x", "c/x"]
+    assert changed_keys(old, old) == []
+
+
 @pytest.mark.parametrize("name", LANGUAGE_NAMES)
 def test_output_matches_golden_digests(name, pinned, tmp_path, capsys):
     got = language_digests(name, tmp_path)
@@ -68,9 +79,22 @@ def test_output_matches_golden_digests(name, pinned, tmp_path, capsys):
     assert got == pinned[name]
 
 
+def changed_keys(old: dict, new: dict) -> list[str]:
+    """``language/key`` of every digest that differs, appears or disappears."""
+    return sorted(
+        f"{name}/{key}"
+        for name in old.keys() | new.keys()
+        for key in old.get(name, {}).keys() | new.get(name, {}).keys()
+        if old.get(name, {}).get(key) != new.get(name, {}).get(key)
+    )
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         table = {name: language_digests(name, Path(tmp) / name) for name in LANGUAGE_NAMES}
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    for key in changed_keys(old, table):
+        print(f"changed: {key}")
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"pinned {sum(map(len, table.values()))} digests in {GOLDEN_PATH}")
