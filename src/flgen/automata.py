@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UsageError
+from .errors import UsageError
 
 EOS = -1
 EOS_GLYPH = "</s>"
@@ -85,17 +85,6 @@ class Alphabet:
         return self.glyphs[symbol]
 
 
-def _normalize_transitions(transitions) -> dict[tuple[int, int], int]:
-    if isinstance(transitions, Mapping):
-        return dict(transitions)
-    table: dict[tuple[int, int], int] = {}
-    for src, sym, dst in transitions:
-        if (src, sym) in table:
-            raise UsageError(f"duplicate transition from state {src} on symbol {sym}")
-        table[(src, sym)] = dst
-    return table
-
-
 class PartialDfa:
     """Deterministic automaton whose transition function may be undefined.
 
@@ -107,7 +96,7 @@ class PartialDfa:
         self,
         n_states: int,
         alphabet: Alphabet,
-        transitions,
+        transitions: Mapping[tuple[int, int], int],
         start: int,
         accepting: Iterable[int],
     ):
@@ -123,7 +112,7 @@ class PartialDfa:
             if not 0 <= q < n_states:
                 raise UsageError(f"accepting state {q} out of range")
         self.delta = np.full((n_states, len(alphabet)), -1, dtype=np.int32)
-        for (src, sym), dst in _normalize_transitions(transitions).items():
+        for (src, sym), dst in transitions.items():
             if not 0 <= src < n_states or not 0 <= dst < n_states:
                 raise UsageError(f"transition ({src}, {sym}, {dst}) out of range")
             if not 0 <= sym < len(alphabet):
@@ -216,48 +205,6 @@ def compute_next_sets(dfa: PartialDfa) -> list[frozenset[int]]:
             syms.add(EOS)
         out.append(frozenset(syms))
     return out
-
-
-def dfa_to_text(dfa: PartialDfa) -> str:
-    """Plain-text form: header ``states alphabet start``, one transition per
-    line as ``src sym dst``, then the accepting states on the final line."""
-    lines = [f"{dfa.n_states} {len(dfa.alphabet)} {dfa.start}"]
-    for src in range(dfa.n_states):
-        for sym, dst in dfa.transitions_from(src):
-            lines.append(f"{src} {sym} {dst}")
-    lines.append(" ".join(str(q) for q in sorted(dfa.accepting)))
-    return "\n".join(lines) + "\n"
-
-
-def dfa_from_text(text: str, alphabet: Alphabet | None = None) -> PartialDfa:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty automaton text")
-    try:
-        n_states, n_syms, start = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise ParseError(f"bad header {lines[0]!r}", line=1) from None
-    if alphabet is None:
-        alphabet = Alphabet([f"s{i}" for i in range(n_syms)])
-    elif len(alphabet) != n_syms:
-        raise ParseError(f"alphabet size {len(alphabet)} does not match header {n_syms}")
-    if len(lines) < 2:
-        raise ParseError("missing accepting-state line")
-    transitions = []
-    for ln, line in enumerate(lines[1:-1], start=2):
-        try:
-            src, sym, dst = (int(x) for x in line.split())
-        except ValueError:
-            raise ParseError(f"bad transition {line!r}", line=ln) from None
-        transitions.append((src, sym, dst))
-    try:
-        accepting = [int(x) for x in lines[-1].split()]
-    except ValueError:
-        raise ParseError(f"bad accepting line {lines[-1]!r}", line=len(lines)) from None
-    try:
-        return PartialDfa(n_states, alphabet, transitions, start, accepting)
-    except UsageError as exc:
-        raise ParseError(str(exc)) from None
 
 
 class WeightedDfa:

@@ -18,6 +18,7 @@ from .dataset import (
     DatasetSplit,
     generate_split,
     generate_standard_suite,
+    read_lines,
     read_split,
     split_filename,
     validate_split,
@@ -46,7 +47,6 @@ MAX_REPORTED_VIOLATIONS = 20
 class RunConfig:
     """Validated arguments shared by the generation commands."""
 
-    command: str
     language: str
     seed: int = 0
     output_dir: Path = Path(".")
@@ -108,7 +108,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             hi if hi is not None else base[2],
         )
     return RunConfig(
-        command=args.command,
         language=args.language,
         seed=args.seed,
         output_dir=args.out,
@@ -181,13 +180,13 @@ def cmd_generate(config: RunConfig) -> int:
 # editdist
 
 
-def _read_input_strings(path: Path) -> list[str]:
-    """A generated split file contributes its example texts; anything else
-    is treated as one input string per line."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+def _read_input_strings(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) pairs: a generated split file contributes its
+    example texts; anything else is treated as one input string per line."""
+    lines = read_lines(path)
     if lines and lines[0].startswith("{"):
-        return [ex.text for ex in read_split(path).examples]
-    return lines
+        return list(enumerate((ex.text for ex in read_split(path).examples), start=2))
+    return list(enumerate(lines, start=1))
 
 
 def cmd_editdist(args: argparse.Namespace) -> int:
@@ -199,10 +198,13 @@ def cmd_editdist(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    texts = _read_input_strings(args.input)
     lines = []
-    for text in texts:
-        result = edit_distance(lang.dfa, lang.parse(text))
+    for line_no, text in _read_input_strings(args.input):
+        try:
+            symbols = lang.parse(text)
+        except UsageError as exc:
+            raise ParseError(str(exc), line_no) from None
+        result = edit_distance(lang.dfa, symbols)
         lines.append(f"{result.distance}\t{lang.render(result.witness)}\t{text}")
     report = "\n".join(lines) + ("\n" if lines else "")
     if args.out is None:

@@ -211,18 +211,30 @@ def write_split(split: DatasetSplit, path) -> None:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that do not decode are a
+    ParseError on their line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", line_no) from None
+
+
 def read_split(path) -> DatasetSplit:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError("empty split file", 1)
 
     def load(line_no: int, fields: dict[str, type]) -> dict:
         try:
             obj = json.loads(lines[line_no - 1])
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad record: {exc.msg}", line_no) from exc
+        # a JSONDecodeError is a ValueError; so is an integer of more than
+        # 4300 digits, and nesting deeper than the stack is a RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"bad record: {getattr(exc, 'msg', exc)}", line_no) from exc
         if not isinstance(obj, dict):
             raise ParseError("record is not an object", line_no)
         for field, kind in fields.items():

@@ -1,14 +1,20 @@
 """The benchmark languages: membership, positive samplers, next-symbol sets.
 
 Regular languages carry a trim partial DFA used for exact-length sampling
-and next-set computation, while membership goes through an independently
-coded predicate so the two routes can be checked against each other.
-Non-regular languages implement all three operations procedurally.
+and next-set computation (one next set per state, ``LanguageSpec._state_next``),
+while membership goes through an independently coded predicate so the two
+routes can be checked against each other.  Non-regular languages implement
+all three operations procedurally, sharing code by family: ``u # f(u)`` for
+marked-reversal, marked-copy, odds-first and bucket-sort, and little-endian
+binary ``x op y = z`` for binary-addition, binary-multiplication and, as its
+one-operand case, compute-sqrt.  Each family's membership predicate stays
+independent of its next-set walker.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product
 from typing import Callable, Sequence
 
@@ -168,46 +174,6 @@ def _half_range(n_min: int, n_max: int, extra: int) -> tuple[int, int]:
     lo = (max(0, n_min - extra) + 1) // 2
     hi = (n_max - extra) // 2
     return lo, hi
-
-
-def _marker_walk(
-    symbols: list[int],
-    pre_symbols: frozenset[int],
-    marker: int,
-    completion: Callable[[list[int]], list[int]],
-) -> list[frozenset[int]]:
-    """Next sets for languages of shape ``u marker f(u)`` with free prefix u:
-    anything from the pre-marker set until the marker, then the forced
-    completion of the recorded left part, then EOS."""
-    pre = frozenset(pre_symbols) | {marker}
-    sets: list[frozenset[int]] = []
-    expected: list[int] | None = None
-    matched = 0
-    invalid = False
-    for t in range(len(symbols) + 1):
-        if invalid:
-            sets.append(frozenset())
-        elif expected is None:
-            sets.append(pre)
-        elif matched < len(expected):
-            sets.append(frozenset({expected[matched]}))
-        else:
-            sets.append(frozenset({EOS}))
-        if t == len(symbols):
-            break
-        s = symbols[t]
-        if invalid:
-            continue
-        if expected is None:
-            if s == marker:
-                expected = completion(symbols[:t])
-            elif s not in pre:
-                invalid = True
-        elif matched < len(expected) and s == expected[matched]:
-            matched += 1
-        else:
-            invalid = True
-    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -516,27 +482,51 @@ def _build_stack_manipulation() -> LanguageSpec:
 
 
 _MARK_ALPHABET = Alphabet(["0", "1", "#"])
-_HASH = 2
+_SORT_ALPHABET = Alphabet(["0", "1", "2", "3", "4", "5", "#"])
 
 
-def _marked_family(name: str, class_label: str, complete: Callable[[list[int]], list[int]]):
+def _marked_family(
+    name: str,
+    class_label: str,
+    complete: Callable[[list[int]], list[int]],
+    alphabet: Alphabet = _MARK_ALPHABET,
+    digits: tuple[int, int] = (0, 2),
+) -> LanguageSpec:
+    """Languages ``u # f(u)``: the marker is the alphabet's last glyph, u is
+    free over the glyphs before it, and the sampler draws u's symbols from
+    ``range(*digits)``."""
+    marker = len(alphabet) - 1
+    anything = frozenset(range(len(alphabet)))
+
     def member(w: list[int]) -> bool:
-        if w.count(_HASH) != 1:
+        if w.count(marker) != 1:
             return False
-        pos = w.index(_HASH)
+        pos = w.index(marker)
         return w[pos + 1:] == complete(w[:pos])
 
     def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
         lo, hi = _half_range(n_min, n_max, 1)
         _range_or_error(name, lo, hi, n_min, n_max)
         m = int(rng.integers(lo, hi + 1))
-        u = [int(b) for b in rng.integers(0, 2, size=m)]
-        return u + [_HASH] + complete(u)
+        u = [int(d) for d in rng.integers(*digits, size=m)]
+        return u + [marker] + complete(u)
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
-        return _marker_walk(w, frozenset({0, 1}), _HASH, complete)
+        # any symbol up to the marker, then the forced completion of the
+        # left part and EOS, then nothing once a symbol breaks it
+        if marker not in w:
+            return [anything] * (len(w) + 1)
+        pos = w.index(marker)
+        forced = complete(w[:pos]) + [EOS]
+        tail = w[pos + 1:]
+        sets = [anything] * (pos + 1)
+        for k in range(len(tail) + 1):
+            if k and tail[k - 1] != forced[k - 1]:
+                break
+            sets.append(frozenset({forced[k]}))
+        return sets + [frozenset()] * (len(w) + 1 - len(sets))
 
-    return LanguageSpec(name, class_label, _MARK_ALPHABET, member, sample, next_sets)
+    return LanguageSpec(name, class_label, alphabet, member, sample, next_sets)
 
 
 def _build_marked_reversal() -> LanguageSpec:
@@ -549,6 +539,10 @@ def _build_marked_copy() -> LanguageSpec:
 
 def _build_odds_first() -> LanguageSpec:
     return _marked_family("odds-first", "CS", lambda u: u[::2] + u[1::2])
+
+
+def _build_bucket_sort() -> LanguageSpec:
+    return _marked_family("bucket-sort", "CS", sorted, _SORT_ALPHABET, digits=(1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -622,67 +616,58 @@ def _build_missing_duplicate() -> LanguageSpec:
     return LanguageSpec("missing-duplicate", "CS", _UND_ALPHABET, member, sample, next_sets)
 
 
-def _arith_spec(name: str, alphabet: Alphabet, op_sym: int, eq_sym: int,
-                combine: Callable[[int, int], int], sampler) -> LanguageSpec:
+def _arith_spec(
+    name: str, alphabet: Alphabet, combine: Callable[..., int], sampler
+) -> LanguageSpec:
+    """Little-endian binary operands, each closed by its separator, then the
+    result ``combine(*operands)``, which may carry trailing zeros.  The
+    separators are the glyphs after "0" and "1", in order, so there is one
+    operand per separator."""
+    seps = range(2, len(alphabet))
+
     def member(w: list[int]) -> bool:
-        if w.count(op_sym) != 1 or w.count(eq_sym) != 1:
+        if any(w.count(s) != 1 for s in seps):
             return False
-        op_pos, eq_pos = w.index(op_sym), w.index(eq_sym)
-        if op_pos > eq_pos:
+        cuts = [-1] + [w.index(s) for s in seps] + [len(w)]
+        parts = [w[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+        if cuts != sorted(cuts) or not all(parts):
             return False
-        x_bits, y_bits, z_bits = w[:op_pos], w[op_pos + 1:eq_pos], w[eq_pos + 1:]
-        if not x_bits or not y_bits or not z_bits:
-            return False
-        if any(s > 1 for s in x_bits + y_bits + z_bits):
-            return False
-        return combine(_decode_le(x_bits), _decode_le(y_bits)) == _decode_le(z_bits)
+        *operands, result = map(_decode_le, parts)
+        return combine(*operands) == result
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
         sets: list[frozenset[int]] = []
-        phase = "x"
-        x_bits: list[int] = []
-        y_bits: list[int] = []
-        expected: list[int] = []
+        operands: list[list[int]] = [[]]
+        expected: list[int] | None = None
         matched = 0
         invalid = False
         for t in range(len(w) + 1):
             if invalid:
                 sets.append(frozenset())
-            elif phase == "x":
-                sets.append(frozenset({0, 1, op_sym}) if x_bits else frozenset({0, 1}))
-            elif phase == "y":
-                sets.append(frozenset({0, 1, eq_sym}) if y_bits else frozenset({0, 1}))
+            elif expected is None:
+                sep = seps[len(operands) - 1]
+                sets.append(frozenset({0, 1, sep}) if operands[-1] else frozenset({0, 1}))
             elif matched < len(expected):
                 sets.append(frozenset({expected[matched]}))
             else:
                 sets.append(frozenset({0, EOS}))
-            if t == len(w):
-                break
-            c = w[t]
-            if invalid:
+            if t == len(w) or invalid:
                 continue
-            if phase == "x":
+            c = w[t]
+            if expected is None:
                 if c <= 1:
-                    x_bits.append(c)
-                elif c == op_sym and x_bits:
-                    phase = "y"
+                    operands[-1].append(c)
+                elif c == seps[len(operands) - 1] and operands[-1]:
+                    if len(operands) == len(seps):
+                        expected = _minimal_le(combine(*map(_decode_le, operands)))
+                    else:
+                        operands.append([])
                 else:
                     invalid = True
-            elif phase == "y":
-                if c <= 1:
-                    y_bits.append(c)
-                elif c == eq_sym and y_bits:
-                    expected = _minimal_le(combine(_decode_le(x_bits), _decode_le(y_bits)))
-                    phase = "z"
-                else:
-                    invalid = True
-            else:
-                if matched < len(expected) and c == expected[matched]:
-                    matched += 1
-                elif matched >= len(expected) and c == 0:
-                    pass
-                else:
-                    invalid = True
+            elif matched < len(expected) and c == expected[matched]:
+                matched += 1
+            elif matched < len(expected) or c != 0:
+                invalid = True
         return sets
 
     return LanguageSpec(name, "CS", alphabet, member, sampler, next_sets)
@@ -690,6 +675,7 @@ def _arith_spec(name: str, alphabet: Alphabet, op_sym: int, eq_sym: int,
 
 _ADD_ALPHABET = Alphabet(["0", "1", "+", "="])
 _MUL_ALPHABET = Alphabet(["0", "1", "×", "="])
+_SQRT_ALPHABET = Alphabet(["0", "1", "="])
 
 
 def _addition_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
@@ -723,105 +709,27 @@ def _multiplication_sampler(n_min: int, n_max: int, rng: np.random.Generator) ->
     return u_x + [2] + u_y + [3] + _encode_le(x * y, n_z)
 
 
+def _sqrt_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
+    lo, hi = _range_or_error("compute-sqrt", max(3, n_min), n_max, n_min, n_max)
+    n = int(rng.integers(lo, hi + 1))
+    parts = _dirichlet_parts(rng, (2.0, 1.0), n - 3)
+    n_x, n_z = parts[0] + 1, parts[1] + 1
+    x = _uniform_int(rng, min(2 ** n_x - 1, 2 ** (2 * n_z) - 1))
+    return _encode_le(x, n_x) + [2] + _encode_le(math.isqrt(x), n_z)
+
+
 def _build_binary_addition() -> LanguageSpec:
-    return _arith_spec(
-        "binary-addition", _ADD_ALPHABET, 2, 3, lambda a, b: a + b, _addition_sampler
-    )
+    return _arith_spec("binary-addition", _ADD_ALPHABET, operator.add, _addition_sampler)
 
 
 def _build_binary_multiplication() -> LanguageSpec:
     return _arith_spec(
-        "binary-multiplication", _MUL_ALPHABET, 2, 3, lambda a, b: a * b,
-        _multiplication_sampler,
+        "binary-multiplication", _MUL_ALPHABET, operator.mul, _multiplication_sampler
     )
 
 
-_SQRT_ALPHABET = Alphabet(["0", "1", "="])
-
-
 def _build_compute_sqrt() -> LanguageSpec:
-    eq = 2
-
-    def member(w: list[int]) -> bool:
-        if w.count(eq) != 1:
-            return False
-        pos = w.index(eq)
-        x_bits, z_bits = w[:pos], w[pos + 1:]
-        if not x_bits or not z_bits:
-            return False
-        return math.isqrt(_decode_le(x_bits)) == _decode_le(z_bits)
-
-    def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        lo, hi = _range_or_error("compute-sqrt", max(3, n_min), n_max, n_min, n_max)
-        n = int(rng.integers(lo, hi + 1))
-        parts = _dirichlet_parts(rng, (2.0, 1.0), n - 3)
-        n_x, n_z = parts[0] + 1, parts[1] + 1
-        x = _uniform_int(rng, min(2 ** n_x - 1, 2 ** (2 * n_z) - 1))
-        return _encode_le(x, n_x) + [eq] + _encode_le(math.isqrt(x), n_z)
-
-    def next_sets(w: list[int]) -> list[frozenset[int]]:
-        sets: list[frozenset[int]] = []
-        phase = "x"
-        x_bits: list[int] = []
-        expected: list[int] = []
-        matched = 0
-        invalid = False
-        for t in range(len(w) + 1):
-            if invalid:
-                sets.append(frozenset())
-            elif phase == "x":
-                sets.append(frozenset({0, 1, eq}) if x_bits else frozenset({0, 1}))
-            elif matched < len(expected):
-                sets.append(frozenset({expected[matched]}))
-            else:
-                sets.append(frozenset({0, EOS}))
-            if t == len(w):
-                break
-            c = w[t]
-            if invalid:
-                continue
-            if phase == "x":
-                if c <= 1:
-                    x_bits.append(c)
-                elif c == eq and x_bits:
-                    expected = _minimal_le(math.isqrt(_decode_le(x_bits)))
-                    phase = "z"
-                else:
-                    invalid = True
-            else:
-                if matched < len(expected) and c == expected[matched]:
-                    matched += 1
-                elif matched >= len(expected) and c == 0:
-                    pass
-                else:
-                    invalid = True
-        return sets
-
-    return LanguageSpec("compute-sqrt", "CS", _SQRT_ALPHABET, member, sample, next_sets)
-
-
-_SORT_ALPHABET = Alphabet(["0", "1", "2", "3", "4", "5", "#"])
-_SORT_HASH = 6
-
-
-def _build_bucket_sort() -> LanguageSpec:
-    def member(w: list[int]) -> bool:
-        if w.count(_SORT_HASH) != 1:
-            return False
-        pos = w.index(_SORT_HASH)
-        return w[pos + 1:] == sorted(w[:pos])
-
-    def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        lo, hi = _half_range(n_min, n_max, 1)
-        _range_or_error("bucket-sort", lo, hi, n_min, n_max)
-        m = int(rng.integers(lo, hi + 1))
-        u = [int(d) for d in rng.integers(1, 6, size=m)]
-        return u + [_SORT_HASH] + sorted(u)
-
-    def next_sets(w: list[int]) -> list[frozenset[int]]:
-        return _marker_walk(w, frozenset(range(6)), _SORT_HASH, sorted)
-
-    return LanguageSpec("bucket-sort", "CS", _SORT_ALPHABET, member, sample, next_sets)
+    return _arith_spec("compute-sqrt", _SQRT_ALPHABET, math.isqrt, _sqrt_sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .automata import PartialDfa, check_trim, compute_next_sets
+from .automata import PartialDfa, check_trim
 from .errors import ConfigurationError, UsageError
 
 
@@ -46,7 +46,6 @@ class SamplerTables:
     pushed: list[StateTable]
     allsum_z: np.ndarray
     valid_lengths: tuple[int, ...]
-    next_sets: list[frozenset[int]]
     _valid_set: frozenset[int] = field(init=False)
 
     def __post_init__(self):
@@ -152,22 +151,16 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
         pushed=pushed,
         allsum_z=z,
         valid_lengths=valid_lengths(z, n_min, n_max),
-        next_sets=compute_next_sets(dfa),
     )
 
 
-def sample_string(
-    tables: SamplerTables, n: int, rng: np.random.Generator
-) -> tuple[list[int], list[frozenset[int]]]:
-    """Draw one accepted string of exact length ``n`` plus its n+1 next-symbol
-    sets, one per prefix, the last containing EOS."""
+def sample_string(tables: SamplerTables, n: int, rng: np.random.Generator) -> list[int]:
+    """Draw one accepted string of exact length ``n``."""
     if n not in tables._valid_set:
         raise UsageError(f"length {n} is not a valid length for this table")
     pushed = tables.pushed
-    next_sets = tables.next_sets
     q = tables.dfa.start
     out: list[int] = []
-    nexts = [next_sets[q]]
     # one call draws the same PCG64 stream as n scalar rng.random() calls
     for remaining, u in zip(range(n, 0, -1), rng.random(n).tolist()):
         st = pushed[q]
@@ -179,10 +172,9 @@ def sample_string(
         j = bisect_right(row, u)
         out.append(st.symbols[j])
         q = st.targets[j]
-        nexts.append(next_sets[q])
     if not tables.dfa.is_accepting(q):
         raise AssertionError(f"sampler stopped in non-accepting state {q}")
-    return out, nexts
+    return out
 
 
 def sample_positive_regular(tables: SamplerTables, rng: np.random.Generator) -> list[int]:
@@ -192,4 +184,4 @@ def sample_positive_regular(tables: SamplerTables, rng: np.random.Generator) -> 
             f"language has no strings in range [{tables.n_min}, {tables.n_max}]"
         )
     n = tables.valid_lengths[int(rng.integers(len(tables.valid_lengths)))]
-    return sample_string(tables, n, rng)[0]
+    return sample_string(tables, n, rng)

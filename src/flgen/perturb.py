@@ -120,6 +120,8 @@ def sample_negative(
     Every attempt re-flips the branch coin; a perturbation whose result is
     still a member restarts from scratch rather than being edited further.
     """
+    if n_min < 0 or n_min > n_max:
+        raise UsageError(f"bad length range [{n_min}, {n_max}]")
     n_symbols = len(lang.alphabet)
     for attempt in range(1, max_attempts + 1):
         if int(rng.integers(2)) == 0:

@@ -1,8 +1,7 @@
-"""Alphabet handling, partial-DFA mechanics, trim checks, and interchange."""
+"""Alphabet handling, partial-DFA mechanics, trim checks, and weighted automata."""
 
 import math
 
-import numpy as np
 import pytest
 
 from flgen.automata import (
@@ -14,11 +13,9 @@ from flgen.automata import (
     check_trim,
     compute_next_sets,
     dfa_accepts,
-    dfa_from_text,
-    dfa_to_text,
     wfa_stringsum,
 )
-from flgen.errors import ParseError, UsageError
+from flgen.errors import UsageError
 
 BITS = Alphabet(["0", "1"])
 
@@ -136,38 +133,6 @@ def test_even_pairs_inline_dfa():
     assert dfa_accepts(dfa, BITS.encode("010110"))
     assert dfa_accepts(dfa, [])
     assert not dfa_accepts(dfa, BITS.encode("01"))
-
-
-def test_text_round_trip():
-    for dfa in (parity_dfa(), repeat01_dfa(), first_dfa()):
-        text = dfa_to_text(dfa)
-        back = dfa_from_text(text, BITS)
-        assert back.n_states == dfa.n_states
-        assert back.start == dfa.start
-        assert back.accepting == dfa.accepting
-        assert np.array_equal(back.delta, dfa.delta)
-
-
-def test_text_format_shape():
-    text = dfa_to_text(repeat01_dfa())
-    lines = text.splitlines()
-    assert lines[0] == "2 2 0"
-    assert lines[1:] == ["0 0 1", "1 1 0", "0"]
-
-
-def test_text_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError, match="line 1"):
-        dfa_from_text("not a header\n0\n")
-    with pytest.raises(ParseError, match="line 2"):
-        dfa_from_text("2 2 0\n0 x 1\n0\n")
-    with pytest.raises(ParseError):
-        dfa_from_text("")
-
-
-def test_text_default_alphabet_matches_header():
-    dfa = dfa_from_text("1 3 0\n0 0 0\n0 2 0\n0\n")
-    assert len(dfa.alphabet) == 3
-    assert dfa_accepts(dfa, [0, 2, 0])
 
 
 def test_wfa_stringsum_with_epsilon_chain():

@@ -232,6 +232,20 @@ def test_mistyped_field_exits_1_with_line_number(
     assert f"line {line_no}: " in capsys.readouterr().err
 
 
+def test_non_utf8_split_exits_1_with_line_number(annotated_split, tmp_path, capsys):
+    """A byte that is not UTF-8 is a malformed file, not a traceback."""
+    data = bytearray(annotated_split.read_bytes())
+    third_line = data.index(b"\n", data.index(b"\n") + 1) + 1
+    data[third_line + 1] = 0xFF
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    assert "line 3: not UTF-8" in capsys.readouterr().out
+    assert main(["editdist", "--language", "parity", str(bad)]) == 1
+    assert "line 3: not UTF-8" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # editdist
 
@@ -264,6 +278,20 @@ def test_editdist_plain_lines_and_out_file(tmp_path):
     assert rows[1].startswith("1\t")
     # the empty line is the empty string, a member
     assert rows[2] == "0\t\t"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"01\n0x1\n", "line 2: cannot tokenize '0x1'"),
+    (b"01\n0\xff1\n", "line 2: not UTF-8"),
+])
+def test_editdist_malformed_plain_line_exits_1_with_line_number(
+    tmp_path, capsys, content, message
+):
+    src = tmp_path / "strings.txt"
+    src.write_bytes(content)
+    capsys.readouterr()
+    assert main(["editdist", "--language", "parity", str(src)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_editdist_nonregular_language_exits_2(tmp_path, capsys):

@@ -182,6 +182,16 @@ def test_read_errors(tmp_path):
         read_split(path)
     assert err.value.line == 3
 
+    rewrite(lambda lines: lines.__setitem__(2, '{"text":"1","label":' + "1" * 5000 + "}"))
+    with pytest.raises(ParseError, match="bad record: Exceeds the limit") as err:
+        read_split(path)
+    assert err.value.line == 3
+
+    rewrite(lambda lines: lines.__setitem__(2, "[" * 100_000 + "]" * 100_000))
+    with pytest.raises(ParseError, match="bad record: maximum recursion depth") as err:
+        read_split(path)
+    assert err.value.line == 3
+
     rewrite(lambda lines: lines.__setitem__(1, '{"label":1}'))
     with pytest.raises(ParseError, match="text"):
         read_split(path)
@@ -202,6 +212,12 @@ def test_read_errors(tmp_path):
         0, lines[0].replace("flgen-split-v1", "flgen-split-v0")))
     with pytest.raises(ParseError, match="format"):
         read_split(path)
+
+    write_split(good, path)
+    path.write_bytes(path.read_bytes().replace(b'"label"', b'"l\xe9bel"', 2))
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        read_split(path)
+    assert err.value.line == 2
 
     path.write_text("")
     with pytest.raises(ParseError, match="empty"):

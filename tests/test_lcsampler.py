@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from flgen.automata import EOS, check_trim
+from flgen.automata import check_trim
 from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.lcsampler import (
@@ -186,26 +186,7 @@ def test_sample_positive_empty_range_is_configuration_error():
 def test_repeat01_samples_are_forced():
     tables = build_sampler_tables(repeat01_dfa(), 0, 10)
     rng = np.random.default_rng(7)
-    ids, nexts = sample_string(tables, 6, rng)
-    assert ids == [0, 1, 0, 1, 0, 1]
-    assert len(nexts) == 7
-    assert nexts[0] == frozenset({0, EOS})
-    assert nexts[1] == frozenset({1})
-    assert EOS in nexts[-1]
-
-
-def test_sampled_next_sets_track_the_walk():
-    tables = build_sampler_tables(parity_dfa(), 0, 8)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        ids, nexts = sample_string(tables, 5, rng)
-        assert len(nexts) == 6
-        state = tables.dfa.start
-        assert nexts[0] == tables.next_sets[state]
-        for i, sym in enumerate(ids):
-            state = tables.dfa.step(state, sym)
-            assert nexts[i + 1] == tables.next_sets[state]
-        assert (EOS in nexts[-1]) == tables.dfa.is_accepting(state)
+    assert sample_string(tables, 6, rng) == [0, 1, 0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("name,n", [("parity", 3), ("even-pairs", 4)])
@@ -218,8 +199,7 @@ def test_conditional_distribution_matches_enumeration(name, n):
     draws = 20_000
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(draws):
-        ids, _ = sample_string(tables, n, rng)
-        key = tuple(ids)
+        key = tuple(sample_string(tables, n, rng))
         counts[key] = counts.get(key, 0) + 1
     assert set(counts) <= set(want)
     tv = 0.5 * sum(

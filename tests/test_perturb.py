@@ -5,6 +5,7 @@ import pytest
 
 from flgen.automata import Alphabet
 from flgen.errors import GenerationError, UsageError
+from flgen.langlib import get_language
 from flgen.perturb import (
     DELETE,
     INSERT,
@@ -167,6 +168,17 @@ def test_sample_negative_full_language_exhausts():
     )
     with pytest.raises(GenerationError, match="complement too small"):
         sample_negative(lang, 0, 4, np.random.default_rng(61), max_attempts=50)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_min, n_max", [(5, 3), (-1, 3)])
+def test_sample_negative_checks_the_range_before_any_draw(seed, n_min, n_max):
+    lang = get_language("parity")
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    with pytest.raises(UsageError, match="bad length range"):
+        sample_negative(lang, n_min, n_max, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_uniform_branch_is_conditionally_uniform():
