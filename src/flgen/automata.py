@@ -26,6 +26,9 @@ class Alphabet:
 
     ``encode`` tokenizes greedily, longest glyph first, and skips ASCII
     spaces so glyphs longer than one character can be written readably.
+    When every glyph is one character, greedy tokenizing is a lookup per
+    character, so ``encode`` tries that first and falls back to the greedy
+    loop, which words every error, on the first miss.
     """
 
     def __init__(self, glyphs: Sequence[str]):
@@ -40,6 +43,8 @@ class Alphabet:
         self.glyphs = glyphs
         self._ids = {g: i for i, g in enumerate(glyphs)}
         self._greedy = sorted(glyphs, key=len, reverse=True)
+        self._one_char = all(len(g) == 1 for g in glyphs)
+        self._valid_ids = frozenset(range(len(glyphs)))
 
     def __len__(self) -> int:
         return len(self.glyphs)
@@ -54,6 +59,14 @@ class Alphabet:
             raise UsageError(f"glyph {glyph!r} is not in alphabet {self.glyphs!r}") from None
 
     def encode(self, text: str) -> list[int]:
+        if self._one_char:
+            try:
+                return [self._ids[c] for c in text if c != " "]
+            except KeyError:
+                pass
+        return self._encode_greedy(text)
+
+    def _encode_greedy(self, text: str) -> list[int]:
         out = []
         i = 0
         while i < len(text):
@@ -69,13 +82,18 @@ class Alphabet:
                 raise UsageError(f"cannot tokenize {text!r} at position {i}")
         return out
 
-    def decode(self, symbols: Iterable[int]) -> str:
-        parts = []
-        for s in symbols:
-            if not 0 <= s < len(self.glyphs):
-                raise UsageError(f"symbol id {s} outside alphabet of size {len(self.glyphs)}")
-            parts.append(self.glyphs[s])
-        return "".join(parts)
+    def first_bad_id(self, symbols: Sequence[int]) -> int | None:
+        """The first of ``symbols`` that is not an id of this alphabet, or
+        None.  Valid ids cost one subset test, a single pass in C."""
+        if self._valid_ids.issuperset(symbols):
+            return None
+        return next(s for s in symbols if s not in self._valid_ids)
+
+    def decode(self, symbols: Sequence[int]) -> str:
+        bad = self.first_bad_id(symbols)
+        if bad is not None:
+            raise UsageError(f"symbol id {bad} outside alphabet of size {len(self.glyphs)}")
+        return "".join([self.glyphs[s] for s in symbols])
 
     def render_symbol(self, symbol: int) -> str:
         if symbol == EOS:
@@ -124,10 +142,6 @@ class PartialDfa:
     @property
     def n_transitions(self) -> int:
         return int((self.delta >= 0).sum())
-
-    def step(self, state: int, symbol: int) -> int:
-        """Target state, or -1 when the transition is undefined."""
-        return int(self.delta[state, symbol])
 
     def transitions_from(self, state: int) -> list[tuple[int, int]]:
         """(symbol, target) pairs leaving ``state``, sorted by symbol id."""

@@ -22,6 +22,7 @@ from .dataset import (
     read_split,
     split_filename,
     validate_split,
+    write_atomic,
     write_split,
 )
 from .editdist import edit_distance
@@ -210,7 +211,7 @@ def cmd_editdist(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(report)
     else:
-        args.out.write_text(report, encoding="utf-8")
+        write_atomic(args.out, [report])
     return EXIT_OK
 
 

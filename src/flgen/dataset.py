@@ -9,8 +9,10 @@ concurrency — cannot change the output.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,14 +124,16 @@ def generate_split(
             if negatives_only:
                 symbols = sample_negative(lang, n_min, n_max, rng)
                 example = LabeledExample(tuple(symbols), lang.render(symbols), False)
+                label = False
             else:
                 example = generate_example(lang, n_min, n_max, annotate, rng, label)
                 label = example.label
             if forbidden is None or example.text not in forbidden:
                 break
         else:
+            kept = "" if label is None else ("positive " if label else "negative ")
             raise GenerationError(
-                f"{lang.name}/{role}: no unseen example after "
+                f"{lang.name}/{role}: no unseen {kept}example after "
                 f"{dedup_attempts} attempts at index {index}"
             )
         examples.append(example)
@@ -164,34 +168,62 @@ def split_filename(language: str, role: str) -> str:
     return f"{language}.{role}.jsonl"
 
 
-def _render_next(lang: LanguageSpec, next_sets) -> list[list[str]]:
-    out = []
-    for cur in next_sets:
-        glyphs = [lang.alphabet.render_symbol(s) for s in sorted(cur) if s != EOS]
-        if EOS in cur:
-            glyphs.append(EOS_GLYPH)
-        out.append(glyphs)
-    return out
+def _render_next_set(lang: LanguageSpec, cur: frozenset[int]) -> list[str]:
+    glyphs = [lang.alphabet.render_symbol(s) for s in sorted(cur) if s != EOS]
+    if EOS in cur:
+        glyphs.append(EOS_GLYPH)
+    return glyphs
 
 
-def _parse_next(lang: LanguageSpec, arrays, line_no: int) -> tuple[frozenset[int], ...]:
-    if type(arrays) is not list or any(type(arr) is not list for arr in arrays):
+def _parse_next_set(lang: LanguageSpec, arr: list, line_no: int) -> frozenset[int]:
+    ids = set()
+    for glyph in arr:
+        if glyph == EOS_GLYPH:
+            ids.add(EOS)
+        elif type(glyph) is str and glyph in lang.alphabet:
+            ids.add(lang.alphabet.id_of(glyph))
+        else:
+            raise ParseError(f"unknown symbol {glyph!r} in next field", line_no)
+    return frozenset(ids)
+
+
+def _parse_next(
+    lang: LanguageSpec, arrays, line_no: int, parsed: dict[tuple, frozenset[int]]
+) -> tuple[frozenset[int], ...]:
+    """The next sets of one record.  ``parsed`` maps each glyph tuple already
+    seen in the file to its set; only tuples that passed the glyph check are
+    in it, and a str never equals a glyph of another JSON type, so a hit
+    needs no second check."""
+    if type(arrays) is not list or not {list}.issuperset(map(type, arrays)):
         raise ParseError("next must be a list of lists of symbols", line_no)
     out = []
     for arr in arrays:
-        ids = set()
-        for glyph in arr:
-            if glyph == EOS_GLYPH:
-                ids.add(EOS)
-            elif type(glyph) is str and glyph in lang.alphabet:
-                ids.add(lang.alphabet.id_of(glyph))
-            else:
-                raise ParseError(f"unknown symbol {glyph!r} in next field", line_no)
-        out.append(frozenset(ids))
+        key = tuple(arr)
+        try:
+            ids = parsed[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable glyph
+            ids = parsed[key] = _parse_next_set(lang, arr, line_no)
+        out.append(ids)
     return tuple(out)
 
 
-def write_split(split: DatasetSplit, path) -> None:
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it
+    over ``path``: a write that fails part way leaves any earlier file
+    intact and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _split_lines(split: DatasetSplit) -> Iterator[str]:
     lang = get_language(split.language)
     header = {
         "format": FORMAT_VERSION,
@@ -202,13 +234,24 @@ def write_split(split: DatasetSplit, path) -> None:
         "seed": split.seed,
         "count": split.count,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for ex in split.examples:
-            record = {"text": ex.text, "label": int(ex.label)}
-            if ex.next_sets is not None:
-                record["next"] = _render_next(lang, ex.next_sets)
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    rendered: dict[frozenset[int], list[str]] = {}
+    for ex in split.examples:
+        record = {"text": ex.text, "label": int(ex.label)}
+        if ex.next_sets is not None:
+            nexts = []
+            for cur in ex.next_sets:
+                glyphs = rendered.get(cur)
+                if glyphs is None:
+                    glyphs = rendered[cur] = _render_next_set(lang, cur)
+                nexts.append(glyphs)
+            record["next"] = nexts
+        yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_split(split: DatasetSplit, path) -> None:
+    """Serialize a split, rendering each distinct next set once per file."""
+    write_atomic(path, _split_lines(split))
 
 
 def read_lines(path) -> list[str]:
@@ -254,6 +297,7 @@ def read_split(path) -> DatasetSplit:
             f"file has {len(lines) - 1}"
         )
     examples = []
+    parsed: dict[tuple, frozenset[int]] = {}
     for line_no in range(2, len(lines) + 1):
         record = load(line_no, RECORD_FIELDS)
         if record["label"] not in (0, 1):
@@ -264,7 +308,7 @@ def read_split(path) -> DatasetSplit:
             raise ParseError(f"cannot tokenize text: {exc}", line_no) from exc
         next_sets = None
         if "next" in record:
-            next_sets = _parse_next(lang, record["next"], line_no)
+            next_sets = _parse_next(lang, record["next"], line_no, parsed)
         examples.append(
             LabeledExample(symbols, record["text"], bool(record["label"]), next_sets)
         )

@@ -57,16 +57,18 @@ class LanguageSpec:
             if not ok:
                 raise AssertionError(f"{name}: shipped DFA is not trim at state {witness}")
             self._state_next = compute_next_sets(dfa)
+            # the transition table as Python lists: indexing them is cheaper
+            # per symbol than indexing the numpy array
+            self._rows = dfa.delta.tolist()
 
     def _validate(self, symbols: Sequence[int]) -> list[int]:
-        n = len(self.alphabet)
-        out = []
-        for s in symbols:
-            if not 0 <= s < n:
-                raise UsageError(
-                    f"symbol id {s} outside the {self.name} alphabet of size {n}"
-                )
-            out.append(int(s))
+        out = list(map(operator.index, symbols))  # exact ints; a float raises
+        bad = self.alphabet.first_bad_id(out)
+        if bad is not None:
+            n = len(self.alphabet)
+            raise UsageError(
+                f"symbol id {bad} outside the {self.name} alphabet of size {n}"
+            )
         return out
 
     def contains(self, symbols: Sequence[int]) -> bool:
@@ -97,12 +99,16 @@ class LanguageSpec:
         return self._ranges[key]
 
     def _dfa_next_sets(self, symbols: list[int]) -> list[frozenset[int]]:
+        rows, state_next = self._rows, self._state_next
         state = self.dfa.start
-        out = [self._state_next[state]]
+        out = [state_next[state]]
         for s in symbols:
-            if state >= 0:
-                state = self.dfa.step(state, s)
-            out.append(self._state_next[state] if state >= 0 else frozenset())
+            state = rows[state][s]
+            if state < 0:
+                break
+            out.append(state_next[state])
+        # past a missing transition every prefix is dead
+        out.extend([frozenset()] * (len(symbols) + 1 - len(out)))
         return out
 
     def parse(self, text: str) -> list[int]:

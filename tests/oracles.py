@@ -265,7 +265,7 @@ def _dfa_completion(dfa: PartialDfa, ids: list[int]):
     acceptance, or None when ``ids`` is dead."""
     state = dfa.start
     for s in ids:
-        state = dfa.step(state, s)
+        state = int(dfa.delta[state, s])
         if state < 0:
             return None
     dist = _accept_distances(dfa)

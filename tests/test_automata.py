@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flgen.automata import (
     EOS,
@@ -16,6 +19,7 @@ from flgen.automata import (
     wfa_stringsum,
 )
 from flgen.errors import UsageError
+from flgen.langlib import LANGUAGE_NAMES, get_language
 
 BITS = Alphabet(["0", "1"])
 
@@ -54,6 +58,55 @@ def test_alphabet_rejects_bad_input():
         ab.decode([0, 2])
     with pytest.raises(UsageError):
         ab.id_of("x")
+
+
+@pytest.mark.parametrize("ids, bad", [
+    ([0, 1, -1], -1),
+    ([1, 0, 2], 2),
+    ([0, 1, np.int64(2)], 2),
+    ([0, 2, -1], 2),
+    ([1, -1, 2], -1),
+])
+def test_decode_names_the_first_bad_id(ids, bad):
+    with pytest.raises(UsageError) as err:
+        BITS.decode(ids)
+    assert str(err.value) == f"symbol id {bad} outside alphabet of size 2"
+
+
+def test_every_alphabet_but_stack_manipulation_is_one_character():
+    multi = {n for n in LANGUAGE_NAMES if not get_language(n).alphabet._one_char}
+    assert multi == {"stack-manipulation"}
+
+
+_FOREIGN = ["x", "\t", "\n", "ß", "</s>", "PUS", "P", "PO"]
+
+
+@st.composite
+def _alphabet_and_text(draw):
+    alphabet = get_language(draw(st.sampled_from(sorted(LANGUAGE_NAMES)))).alphabet
+    glyph = st.sampled_from(alphabet.glyphs)
+    pieces = draw(st.lists(st.one_of(glyph, glyph, glyph, st.sampled_from([" ", "  "])),
+                           max_size=30))
+    for at, foreign in draw(st.lists(st.tuples(st.integers(0, len(pieces)),
+                                               st.sampled_from(_FOREIGN)), max_size=2)):
+        pieces.insert(at, foreign)
+    return alphabet, "".join(pieces)
+
+
+def _outcome(encode, text):
+    try:
+        return encode(text)
+    except UsageError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_alphabet_and_text())
+def test_one_character_lookup_agrees_with_greedy_tokenizing(case):
+    """On every shipped alphabet, encode gives the greedy loop's ids, or its
+    error, on glyphs mixed with spaces and foreign characters."""
+    alphabet, text = case
+    assert _outcome(alphabet.encode, text) == _outcome(alphabet._encode_greedy, text)
 
 
 def test_render_symbol_handles_eos():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from flgen.cli import main
-from flgen.dataset import generate_split, read_split, write_split
+from flgen.dataset import DatasetSplit, LabeledExample, generate_split, read_split, write_split
 from flgen.langlib import get_language
 
 from .oracles import levenshtein
@@ -116,6 +116,18 @@ def test_generate_infeasible_range_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "x"), "--min-len", "3", "--max-len", "3"])
     assert rc == 2
     assert "no strings in range" in capsys.readouterr().err
+
+
+def test_generate_without_unseen_members_exits_2_naming_the_label(tmp_path, capsys):
+    """repeat-01 has 21 members of length at most 40; train, val-short and
+    val-long draw them all, so test-short finds no unseen positive."""
+    out = tmp_path / "suite"
+    rc = main(["generate", "--language", "repeat-01", "--seed", "42", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("error: repeat-01/test-short: no unseen positive example "
+            "after 1000 attempts at index 0") in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv_tail", [
@@ -246,6 +258,40 @@ def test_non_utf8_split_exits_1_with_line_number(annotated_split, tmp_path, caps
     assert "line 3: not UTF-8" in capsys.readouterr().err
 
 
+def _parity_two_records(tmp_path, third_next) -> Path:
+    """A parity split whose lines 2 and 3 both hold "1"; line 3 carries
+    ``third_next`` as its next field."""
+    lang = get_language("parity")
+    nexts = tuple(lang.next_sets([1]))
+    ex = LabeledExample((1,), "1", True, nexts)
+    path = tmp_path / "parity.val-short.jsonl"
+    write_split(DatasetSplit("parity", "val-short", 0, 10, 3, [ex, ex]), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    assert record["next"] == [["0", "1"], ["0", "1", "</s>"]]
+    record["next"] = third_next
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("third_next, message", [
+    ([["0", 1], ["0", "1", "</s>"]], "line 3: unknown symbol 1 in next field"),
+    ([[["0"]], ["0", "1", "</s>"]], "line 3: unknown symbol ['0'] in next field"),
+    ([["0", "1", "</s>"], ["0", "1", "</s>"]], "example 1: next sets do not match re-derivation"),
+])
+def test_next_entries_parsed_once_per_file_are_still_checked(
+    tmp_path, capsys, third_next, message
+):
+    """Line 2's entries are parsed and kept for the rest of the file; line 3
+    repeats them with a non-str glyph, an unhashable glyph, or a set that is
+    an earlier entry but wrong at its position."""
+    path = _parity_two_records(tmp_path, third_next)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # editdist
 
@@ -278,6 +324,7 @@ def test_editdist_plain_lines_and_out_file(tmp_path):
     assert rows[1].startswith("1\t")
     # the empty line is the empty string, a member
     assert rows[2] == "0\t\t"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.tsv", "strings.txt"]
 
 
 @pytest.mark.parametrize("content, message", [

@@ -1,5 +1,7 @@
 """Dataset generation and serialization tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -243,11 +245,39 @@ def test_dedup_retry_and_exhaustion():
     assert deduped.examples[0] != natural.examples[0]
 
     everything = {"", "0", "1", "00", "01", "10", "11"}
-    with pytest.raises(GenerationError, match="no unseen example"):
+    with pytest.raises(GenerationError, match="no unseen negative example"):
         generate_split(
             lang, "test-short", 3, count=5, n_max=2,
             forbidden=everything, dedup_attempts=10,
         )
+
+
+def test_write_failing_part_way_keeps_the_earlier_file(tmp_path, monkeypatch):
+    """write_split goes through a temporary file and a rename, so a write
+    that fails on the third record leaves the earlier file byte for byte and
+    no temporary file behind."""
+    lang = get_language("parity")
+    path = tmp_path / "parity.val-short.jsonl"
+    write_split(generate_split(lang, "val-short", 1, annotate=True, count=5), path)
+    before = path.read_bytes()
+    replacement = generate_split(lang, "val-short", 2, annotate=True, count=5)
+
+    dumps = json.dumps
+    calls = []
+
+    def failing_dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == 4:  # the header, then the third record
+            raise OSError(28, "No space left on device")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(OSError, match="No space left"):
+        write_split(replacement, path)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_config_errors():

@@ -369,6 +369,20 @@ def test_out_of_alphabet_symbols():
         get_language("parity").next_sets([-1])
 
 
+@pytest.mark.parametrize("name", ["parity", "bucket-sort"])
+@pytest.mark.parametrize("call", ["contains", "next_sets"])
+def test_out_of_alphabet_message_names_the_first_bad_id(name, call):
+    lang = get_language(name)
+    n = len(lang.alphabet)
+    for ids, bad in [([0, 1, -1], -1), ([1, 0, n], n), ([0, 1, np.int64(n)], n),
+                     ([0, n, -1], n), ([1, -1, n], -1)]:
+        with pytest.raises(UsageError) as err:
+            getattr(lang, call)(ids)
+        assert str(err.value) == f"symbol id {bad} outside the {name} alphabet of size {n}"
+    with pytest.raises(TypeError):  # an id must be an integer, not a float
+        getattr(lang, call)([0, 1.0])
+
+
 def test_registry():
     assert len(LANGUAGE_NAMES) == 18
     assert len(REGULAR_NAMES) == 7
