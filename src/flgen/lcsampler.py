@@ -1,19 +1,24 @@
 """Length-constrained sampling from the uniform-policy distribution of a DFA.
 
-Every DFA arc consumes exactly one symbol, so beta(q)[i], the probability
+Every DFA arc consumes exactly one symbol, so beta_i(q), the probability
 that the uniform-policy walk from q emits exactly i more symbols and stops,
-is a plain recursion over lengths: bin i of beta(q) log-sum-exps its
-targets' bin i-1, scaled by the policy probability, and bin 0 holds the
-stopping probability.  The per-state local tables normalize the
-targets' shifted weights within each remaining-length bin, and a draw walks
-them symbol by symbol.  Preprocessing costs O(arcs * n_max); each draw step
-is one bisect over the state's fan-out.
+is a plain recursion over lengths: bin i of beta(q) sums its targets' bin
+i-1, scaled by the policy probability, and bin 0 holds the stopping
+probability.  The recursion runs over exact integer path weights (the
+counting semiring), so every table entry is a correctly rounded quotient
+and the tables are the same on every IEEE platform.  The per-state local
+tables normalize the targets' weights within each remaining-length bin, and
+a draw walks them symbol by symbol.  Preprocessing costs O(arcs * n_max)
+integer operations; each draw step is one bisect over the state's fan-out.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,7 +49,7 @@ class SamplerTables:
     n_min: int
     n_max: int
     pushed: list[StateTable]
-    allsum_z: np.ndarray
+    allsum_z: tuple[float, ...]
     valid_lengths: tuple[int, ...]
     _valid_set: frozenset[int] = field(init=False)
 
@@ -61,76 +66,51 @@ class SamplerTables:
         )
 
 
-def _policy(dfa: PartialDfa) -> tuple[list[list[tuple[int, int]]], np.ndarray]:
-    """Each state's (symbol, target) transitions, sorted by symbol, and the
-    log-probability of each choice there: at a state with j transitions
-    (plus stopping, when accepting) every choice has probability 1/k, k = j
-    + accepting."""
-    outs = [dfa.transitions_from(q) for q in range(dfa.n_states)]
-    log_p = np.array([-np.log(len(o) + dfa.is_accepting(q)) for q, o in enumerate(outs)])
-    return outs, log_p
+def path_weights(dfa: PartialDfa, n_max: int) -> Iterator[tuple[float, list[int]]]:
+    """For i = 0..n_max, exact path weights V_i over the states and the log
+    scale that turns them into beta: log beta_i(q) = log V_i(q) + scale_i.
 
-
-def beta_by_length(dfa: PartialDfa, n_max: int) -> np.ndarray:
-    """log beta, shape (n_states, n_max + 1): entry (q, i) is the
-    log-probability that the uniform-policy walk from q emits exactly i more
-    symbols and stops."""
-    return _beta(dfa, *_policy(dfa), n_max)
-
-
-def _beta(
-    dfa: PartialDfa, outs: list[list[tuple[int, int]]], log_p: np.ndarray, n_max: int
-) -> np.ndarray:
-    n = dfa.n_states
-    accepting = np.array([dfa.is_accepting(q) for q in range(n)])
-    # padded target matrix; index n points at an all -inf row
-    targets = np.full((n, max(map(len, outs), default=0)), n)
-    for q, o in enumerate(outs):
-        targets[q, :len(o)] = [dst for _sym, dst in o]
-    beta = np.full((n_max + 1, n + 1), -np.inf)
-    beta[0, :n] = np.where(accepting, log_p, -np.inf)
+    With d_q the number of choices at q (its transitions, plus stopping when
+    accepting) and D their lcm, W_i(q) = beta_i(q) * D**(i+1) is an integer:
+    W_0(q) = [q accepting] * D/d_q and W_i(q) = D/d_q * (sum of W_{i-1} over
+    q's targets).  V_i is W_i over the gcd of its entries, which keeps the
+    integers small and every ratio within a bin as it is.
+    """
+    outs = [[dst for _sym, dst in dfa.transitions_from(q)] for q in range(dfa.n_states)]
+    accepting = [dfa.is_accepting(q) for q in range(dfa.n_states)]
+    degrees = [len(o) + a for o, a in zip(outs, accepting)]
+    big_d = math.lcm(*degrees)
+    scale = [big_d // k for k in degrees]
+    row, removed = [s * a for s, a in zip(scale, accepting)], 1
+    yield -math.log(big_d), row
     for i in range(1, n_max + 1):
-        gathered = beta[i - 1, targets]
-        peak = gathered.max(axis=1, initial=-np.inf)
-        shift = np.where(peak > -np.inf, peak, 0.0)
-        with np.errstate(divide="ignore"):
-            total = np.log(np.exp(gathered - shift[:, None]).sum(axis=1))
-        beta[i, :n] = log_p + shift + total
-    return beta[:, :n].T.copy()
+        row = [s * sum(map(row.__getitem__, o)) for s, o in zip(scale, outs)]
+        g = math.gcd(*row) or 1
+        row = [w // g for w in row]
+        removed *= g
+        yield math.log(removed) - (i + 1) * math.log(big_d), row
 
 
-def _state_table(outs: list[tuple[int, int]], log_p: float, beta: np.ndarray) -> StateTable:
-    """Normalize each transition's weight times its target's beta at bin i-1
-    across the state's transitions, for every bin i >= 1."""
-    n_bins = beta.shape[1]
-    symbols = [sym for sym, _dst in outs]
-    targets = [dst for _sym, dst in outs]
-    if not outs:
-        return StateTable(symbols, targets, [None] * n_bins)
-    logits = np.full((len(outs), n_bins), -np.inf)
-    logits[:, 1:] = beta[targets, :-1] + log_p
-    peak = logits.max(axis=0)
-    cols = np.flatnonzero(peak > -np.inf)
-    shifted = np.exp(logits[:, cols] - peak[cols])
-    # cumulative along the transition axis; the last entry of every row is
-    # forced to 1.0 so a uniform draw u < 1 always lands on a transition
-    cum = np.cumsum(shifted / shifted.sum(axis=0), axis=0).T
-    cum[:, -1] = 1.0
-    rows: list[tuple[float, ...] | None] = [None] * n_bins
-    for i, row in zip(cols.tolist(), cum.tolist()):
-        rows[i] = tuple(row)
-    return StateTable(symbols, targets, rows)
+def _row(weights: list[int], targets: list[int]) -> tuple[float, ...] | None:
+    """Cumulative choice probabilities over the targets' weights, each a
+    correctly rounded int/int quotient, so the last entry is exactly 1.0;
+    None where no target carries weight."""
+    prefix = list(accumulate(map(weights.__getitem__, targets)))
+    if not prefix or not prefix[-1]:
+        return None
+    total = prefix[-1]
+    return tuple([p / total for p in prefix])
 
 
-def valid_lengths(allsum_z: np.ndarray, n_min: int, n_max: int) -> tuple[int, ...]:
+def valid_lengths(allsum_z: tuple[float, ...], n_min: int, n_max: int) -> tuple[int, ...]:
     """Lengths in [n_min, n_max] whose total probability mass is nonzero."""
     if n_min < 0 or n_min > n_max:
         raise UsageError(f"bad length range [{n_min}, {n_max}]")
-    if n_max >= allsum_z.shape[0]:
+    if n_max >= len(allsum_z):
         raise UsageError(
-            f"n_max {n_max} exceeds the preprocessed bound {allsum_z.shape[0] - 1}"
+            f"n_max {n_max} exceeds the preprocessed bound {len(allsum_z) - 1}"
         )
-    return tuple(n for n in range(n_min, n_max + 1) if allsum_z[n] > -np.inf)
+    return tuple(n for n in range(n_min, n_max + 1) if allsum_z[n] > -math.inf)
 
 
 def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTables:
@@ -140,10 +120,24 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
     ok, witness = check_trim(dfa)
     if not ok:
         raise UsageError(f"sampling needs a trim DFA; state {witness} is not live")
-    outs, log_p = _policy(dfa)
-    beta = _beta(dfa, outs, log_p, n_max)
-    pushed = [_state_table(o, lp, beta) for o, lp in zip(outs, log_p)]
-    z = beta[dfa.start]
+    pushed = [
+        StateTable([sym for sym, _dst in o], [dst for _sym, dst in o], [None])
+        for o in map(dfa.transitions_from, range(dfa.n_states))
+    ]
+    log_z = []
+    # the reduced weights of most DFAs repeat within a few bins, and equal
+    # weights give equal rows
+    seen: dict[tuple[int, ...], list[tuple[float, ...] | None]] = {}
+    for i, (log_scale, v) in enumerate(path_weights(dfa, n_max)):
+        w = v[dfa.start]
+        log_z.append(math.log(w) + log_scale if w else -math.inf)
+        if i < n_max:
+            key = tuple(v)
+            if key not in seen:
+                seen[key] = [_row(v, st.targets) for st in pushed]
+            for st, row in zip(pushed, seen[key]):
+                st.rows.append(row)
+    z = tuple(log_z)
     return SamplerTables(
         dfa=dfa,
         n_min=n_min,

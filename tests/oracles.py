@@ -8,6 +8,7 @@ production code paths under test.
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +59,23 @@ def uniform_policy_length_probs(dfa: PartialDfa, n_top: int) -> np.ndarray:
         cur = step @ cur
         out.append(cur[dfa.start])
     return np.array(out)
+
+
+def uniform_policy_beta_exact(dfa: PartialDfa, n_top: int) -> list[list[Fraction]]:
+    """beta[q][i] = P(the uniform-policy walk from q emits exactly i symbols
+    and stops), for i = 0..n_top, by dynamic programming over lengths in
+    exact rational arithmetic."""
+    n_states = dfa.n_states
+    step = [Fraction(1, len(dfa.transitions_from(q)) + dfa.is_accepting(q))
+            for q in range(n_states)]
+    beta = [[step[q] if dfa.is_accepting(q) else Fraction(0)] for q in range(n_states)]
+    for i in range(1, n_top + 1):
+        for q in range(n_states):
+            beta[q].append(
+                step[q] * sum((beta[dst][i - 1] for _sym, dst in dfa.transitions_from(q)),
+                              Fraction(0))
+            )
+    return beta
 
 
 def lift_weights(dfa: PartialDfa, n_max: int) -> WeightedDfa:

@@ -9,6 +9,11 @@ when bytes change on purpose, and say why in CHANGES.md:
     PYTHONPATH=src python -m tests.test_golden
 
 It prints every key whose digest changed against the file it overwrites.
+
+The bytes also rest on numpy's ``Generator`` streams, which numpy does not
+promise to keep across versions.  ``NUMPY_STREAM_SHA256`` pins the output of
+every ``Generator`` call flgen makes, so a golden failure can be told apart:
+if the stream test fails too, numpy moved, not flgen.
 """
 
 import contextlib
@@ -18,6 +23,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flgen.cli import main
@@ -31,6 +37,27 @@ SCALE = 20
 # twentieth of the default counts would see them all, and test-short, which
 # excludes their texts, would find no unseen positive
 SHRUNK = {"repeat-01": {"train": 20, "val-short": 4}}
+NUMPY_STREAM_SHA256 = "809e08a5ed5ce677bcf6f2b25be5c5a1d1ed49b0697ad83d9a79d5330374469a"
+
+
+def numpy_stream_digest() -> str:
+    """SHA-256 over one fixed seed's output of each kind of ``Generator``
+    call flgen makes."""
+    rng = np.random.default_rng(np.random.SeedSequence([SEED, 0, 0]))
+    draws = [
+        rng.integers(2),
+        rng.integers(5, 41),
+        rng.integers(0, 2, size=33),
+        rng.integers(3, size=17),
+        rng.integers(0, 2, size=70, dtype=np.uint8),
+        rng.random(25),
+        [rng.geometric(0.5) for _ in range(8)],
+        rng.dirichlet([1.0, 1.0, 2.0]),
+        rng.dirichlet([2.0, 1.0]),
+        rng.permutation([0, 0, 1, 1, 1, 0, 1]),
+    ]
+    text = repr([np.asarray(d).tolist() for d in draws])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _override_args(name: str) -> list[str]:
@@ -70,6 +97,14 @@ def test_changed_keys_names_every_difference():
     new = {"a": {"x": "1", "y": "9", "z": "4"}, "c": {"x": "3"}}
     assert changed_keys(old, new) == ["a/y", "a/z", "b/x", "c/x"]
     assert changed_keys(old, old) == []
+
+
+def test_numpy_generator_stream_is_pinned():
+    assert numpy_stream_digest() == NUMPY_STREAM_SHA256, (
+        f"numpy {np.__version__} changed its Generator streams; this is numpy's "
+        "stream moving, not flgen's bytes.  Golden digests that fail with it "
+        "follow from the new stream."
+    )
 
 
 @pytest.mark.parametrize("name", LANGUAGE_NAMES)

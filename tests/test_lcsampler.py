@@ -1,7 +1,9 @@
 """Exact-length sampling: the DP over lengths against the generic closure
 oracle, local tables, distributions."""
 
+import hashlib
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from flgen.automata import check_trim
 from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.lcsampler import (
-    beta_by_length,
     build_sampler_tables,
+    path_weights,
     sample_positive_regular,
     sample_string,
     valid_lengths,
@@ -27,6 +29,7 @@ from .oracles import (
     lift_weights,
     parity_dfa,
     repeat01_dfa,
+    uniform_policy_beta_exact,
     uniform_policy_length_probs,
 )
 
@@ -36,6 +39,35 @@ ALL_DFAS = {
     "first": first_dfa,
     "even-pairs": even_pairs_dfa,
 }
+
+# SHA-256 of repr(rows) of every state table at n_max 500, per shipped DFA.
+# The rows are correctly rounded quotients of exact integers, so these hold
+# on every IEEE platform and numpy build.
+ROW_DIGESTS = {
+    "even-pairs": "2a157f69f778e6d48f421df289ab33ab03612d5cf879c1a21c9d02849f19b664",
+    "repeat-01": "e4dc9251c7a7a8f7a0e71465af634c5f24c1d32ffd12b4f510b978dd1c6fe81a",
+    "parity": "7f777c406ef86434a247ad9e436fc0833dbde18b51dcc1e6e2b04489fc015822",
+    "cycle-navigation": "179c42b4c034188edfeb20442bf42369d203313ec1b4ba4e4405800cb68d5529",
+    "modular-arithmetic": "fb297dd0d584e3005ba99ac8a909d103f26ae486757ba2210336c0d6000a2220",
+    "dyck-2-3": "de05ca85c6436d0b9546f815118f704c35ef1e2e9e1db7bad7ff639b986037c9",
+    "first": "f9ecd22b3c220ed2b017d257b5236b97b54c698279cba52e634f91bd1351511d",
+}
+
+
+def _all_dfas():
+    """The seven shipped DFAs and the inline ones."""
+    dfas = {name: get_language(name).dfa for name in REGULAR_NAMES}
+    dfas.update((f"inline {name}", make()) for name, make in ALL_DFAS.items())
+    return dfas
+
+
+def beta_by_length(dfa, n_max):
+    """log beta, shape (n_states, n_max + 1), as a log view over the exact
+    path weights: entry (q, i) is log V_i(q) plus the bin's log scale."""
+    return np.array([
+        [math.log(w) + log_scale if w else -np.inf for w in row]
+        for log_scale, row in path_weights(dfa, n_max)
+    ]).T
 
 
 def test_lehmann_real_singleton():
@@ -140,9 +172,7 @@ def test_push_weights_columns_normalize():
     remaining length, recomputed from the closure oracle's backward weights;
     a row is None exactly where no transition carries mass.  Covers the
     seven shipped DFAs and the inline ones."""
-    dfas = {name: get_language(name).dfa for name in REGULAR_NAMES}
-    dfas.update((f"inline {name}", make()) for name, make in ALL_DFAS.items())
-    for name, dfa in dfas.items():
+    for name, dfa in _all_dfas().items():
         tables = build_sampler_tables(dfa, 0, 12)
         beta = np.exp(_oracle_beta(dfa, 12))
         for q, st in enumerate(tables.pushed):
@@ -159,6 +189,29 @@ def test_push_weights_columns_normalize():
                 assert row[-1] == 1.0
                 steps = np.diff(row, prepend=0.0)
                 assert np.abs(steps - mass / mass.sum()).max() <= 1e-9, (name, q, i)
+
+
+def test_rows_are_correctly_rounded_quotients():
+    """Every row entry is exactly the double nearest to its prefix mass over
+    the row's total mass, computed in rational arithmetic: no tolerance."""
+    for name, dfa in _all_dfas().items():
+        tables = build_sampler_tables(dfa, 0, 12)
+        beta = uniform_policy_beta_exact(dfa, 12)
+        for q, st in enumerate(tables.pushed):
+            for i in range(1, 13):
+                prefix = list(accumulate(beta[dst][i - 1] for dst in st.targets))
+                if not prefix or not prefix[-1]:
+                    assert st.rows[i] is None, (name, q, i)
+                    continue
+                want = tuple(float(p / prefix[-1]) for p in prefix)
+                assert st.rows[i] == want, (name, q, i)
+
+
+@pytest.mark.parametrize("name", REGULAR_NAMES)
+def test_row_digest_at_n_max_500(name):
+    tables = build_sampler_tables(get_language(name).dfa, 0, 500)
+    rows = [st.rows for st in tables.pushed]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ROW_DIGESTS[name]
 
 
 def test_push_weights_parity_of_available_bins():
