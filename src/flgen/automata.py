@@ -166,24 +166,26 @@ def dfa_accepts(dfa: PartialDfa, symbols: Sequence[int]) -> bool:
 
 
 def _reachable(dfa: PartialDfa) -> np.ndarray:
-    seen = np.zeros(dfa.n_states, dtype=bool)
+    rows = dfa.delta.tolist()  # plain lists index faster than numpy arrays
+    seen = [False] * dfa.n_states
     seen[dfa.start] = True
     queue = deque([dfa.start])
     while queue:
         q = queue.popleft()
-        for dst in dfa.delta[q]:
+        for dst in rows[q]:
             if dst >= 0 and not seen[dst]:
                 seen[dst] = True
-                queue.append(int(dst))
-    return seen
+                queue.append(dst)
+    return np.array(seen)
 
 
 def _coreachable(dfa: PartialDfa) -> np.ndarray:
     back: list[list[int]] = [[] for _ in range(dfa.n_states)]
-    srcs, syms = np.nonzero(dfa.delta >= 0)
-    for src, sym in zip(srcs, syms):
-        back[dfa.delta[src, sym]].append(int(src))
-    seen = np.zeros(dfa.n_states, dtype=bool)
+    for src, row in enumerate(dfa.delta.tolist()):
+        for dst in row:
+            if dst >= 0:
+                back[dst].append(src)
+    seen = [False] * dfa.n_states
     queue = deque()
     for q in dfa.accepting:
         seen[q] = True
@@ -194,7 +196,7 @@ def _coreachable(dfa: PartialDfa) -> np.ndarray:
             if not seen[src]:
                 seen[src] = True
                 queue.append(src)
-    return seen
+    return np.array(seen)
 
 
 def check_trim(dfa: PartialDfa) -> tuple[bool, int | None]:

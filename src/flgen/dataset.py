@@ -85,11 +85,12 @@ def generate_example(
         label = bool(rng.integers(2))
     if label:
         symbols = lang.sample_positive(n_min, n_max, rng)
-        next_sets = tuple(lang.next_sets(symbols)) if annotate else None
+        if annotate:
+            word = lang.check(symbols)
+            return LabeledExample(tuple(symbols), word.text(), True, tuple(word.next_sets()))
     else:
         symbols = sample_negative(lang, n_min, n_max, rng)
-        next_sets = None
-    return LabeledExample(tuple(symbols), lang.render(symbols), label, next_sets)
+    return LabeledExample(tuple(symbols), lang.render(symbols), label)
 
 
 def generate_split(
@@ -335,7 +336,8 @@ def validate_split(split: DatasetSplit) -> list[str]:
                 f"{where}: length {len(ex.symbols)} outside "
                 f"[{split.n_min}, {split.n_max}]"
             )
-        truth = lang.contains(list(ex.symbols))
+        word = lang.check(ex.symbols)
+        truth = word.contains()
         if truth != ex.label:
             violations.append(
                 f"{where}: label {int(ex.label)} but membership is {int(truth)}"
@@ -349,7 +351,7 @@ def validate_split(split: DatasetSplit) -> list[str]:
                     f"{len(ex.symbols)} symbols"
                 )
             else:
-                expected = tuple(lang.next_sets(list(ex.symbols)))
+                expected = tuple(word.next_sets())
                 if ex.next_sets != expected:
                     violations.append(f"{where}: next sets do not match re-derivation")
     if split.role == "editdist-probe" and any(ex.label for ex in split.examples):

@@ -1,13 +1,16 @@
 """Exact edit distance from a string to a regular language: ``edit_distance``
 is Wagner's column DP (Wagner 1974, *Order-n correction for regular
-languages*), O(|w| · arcs).  The chain-WFA product route after it is the
-reference the tests check it against.
+languages*) with each input symbol's column step folded into one min-plus
+transfer matrix over the DFA states: O(|Σ| · |Q|² + depth · |Q|³) set-up and
+O(|w| · |Q|²) per word, vectorised per symbol.  The chain-WFA product route
+after it is the reference the tests check it against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,28 @@ class EditDistanceResult:
     witness: tuple[int, ...] | None
 
 
+def _hop_distances(dfa: PartialDfa, big: int) -> np.ndarray:
+    """hop[p, q]: the fewest arcs from p to q, ``big`` where q is unreachable.
+    A last row of ``big`` stands for a missing transition, so hop[delta] is
+    ``big`` wherever delta is -1.  Every arc costs 1, so a breadth-first
+    search is the whole insertion closure; it runs from all states at once,
+    one |Q| x |Q| matrix product per depth level."""
+    n_states = dfa.n_states
+    adjacent = np.zeros((n_states, n_states))  # float, so each product is one BLAS call
+    src, sym = np.nonzero(dfa.delta >= 0)
+    adjacent[src, dfa.delta[src, sym]] = 1
+    hop = np.full((n_states + 1, n_states), big, dtype=np.int64)
+    reached = np.eye(n_states, dtype=bool)
+    frontier = reached
+    depth = 0
+    while frontier.any():
+        hop[:-1][frontier] = depth  # a self-loop's diagonal was reached at depth 0
+        depth += 1
+        frontier = (frontier @ adjacent > 0) & ~reached
+        reached = reached | frontier
+    return hop
+
+
 def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     """d(L, word): fewest single-symbol edits from ``word`` to a member, and
     one member at that distance.
@@ -33,6 +58,15 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     deleting it (cost 1, same state); insertions (cost 1 along an arc) then
     relax the column until it stops changing.
 
+    All of that is one min-plus product per symbol: with hop[p, q] the fewest
+    arcs from p to q, T_a[p, q] = min(1 + hop[p, q], min over arcs p -b-> r
+    of [b != a] + hop[r, q]) and col_i = min_p(col_{i-1}[p] + T_a[p, :]).
+    Each column costs one add and one min-reduction over |Q|² entries in C:
+    more entries than there are arcs (729 against 105 on modular-arithmetic),
+    but only two numpy calls per symbol.  The columns are kept, and the
+    witness is walked back through them, re-deriving at each step which move
+    the tie rule picks.
+
     Ties, which fix the witness: into each state, a consuming step beats a
     deletion of equal cost; among arcs, the first in (source, symbol) order
     wins; an insertion replaces a step only when strictly cheaper.  The
@@ -41,65 +75,54 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     ok, state = check_trim(dfa)
     if not ok:
         raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
-    n_states, n_syms = dfa.delta.shape
-    w = np.asarray(word, dtype=np.int64)
-    foreign = w[(w < 0) | (w >= n_syms)]
-    if foreign.size:
-        raise UsageError(f"symbol id {foreign[0]} outside the alphabet")
+    w = list(map(operator.index, word))  # exact ints; a float raises TypeError
+    bad = dfa.alphabet.first_bad_id(w)
+    if bad is not None:
+        raise UsageError(f"symbol id {bad} outside the alphabet")
 
-    src, sym = np.nonzero(dfa.delta >= 0)  # arcs in (source, symbol) order
-    n_arcs = len(src)
-    big = len(w) + n_states  # above every reachable column entry
-    # in_arc[q]: the arcs into q in that order, padded with a dummy id n_arcs
-    # whose step costs big; argmin over a row then picks the first cheapest
-    into: list[list[int]] = [[] for _ in range(n_states)]
-    for k, q in enumerate(dfa.delta[src, sym]):
-        into[q].append(k)
-    width = max(1, max(map(len, into)))
-    in_arc = np.array([arcs + [n_arcs] * (width - len(arcs)) for arcs in into])
-    pad = in_arc == n_arcs
-    in_src = np.append(src, 0)[in_arc]
-    mismatch = np.append(sym, 0)[in_arc] != np.arange(n_syms)[:, None, None]
-    consume_cost = np.where(pad, big, mismatch)  # per symbol read
-    insert_cost = np.where(pad, big, 1)
-    states = np.arange(n_states)
+    n_states = dfa.n_states
+    big = len(w) + n_states  # above every finite hop and column entry
+    hop = _hop_distances(dfa, big)
+    after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
+    # delete the symbol, or read it along any arc as a substitution
+    either = np.minimum(hop[:-1], after.min(axis=1)) + 1
+    transfer = np.minimum(either[None], after.transpose(1, 0, 2))  # [a, p, q]
 
-    col = np.full(n_states, big)
-    col[dfa.start] = 0
-    # via[i, q]: arc into q at column i, n_arcs + it if inserted, -1 if deleted or the start
-    via = np.full((len(w) + 1, n_states), -1)
-    for i in range(len(w) + 1):
-        if i:
-            cost = col[in_src] + consume_cost[w[i - 1]]
-            first = cost.argmin(axis=1)
-            step = cost[states, first]
-            deleted = col + 1 < step
-            via[i] = np.where(deleted, -1, in_arc[states, first])
-            col = np.minimum(col + 1, step)
-        stepped = col
-        while True:
-            cost = col[in_src] + insert_cost
-            first = cost.argmin(axis=1)
-            inserted = cost[states, first]
-            if not (inserted < col).any():
-                break
-            col = np.minimum(col, inserted)
-        relaxed = col < stepped
-        via[i, relaxed] = n_arcs + in_arc[states, first][relaxed]
+    cols = np.empty((len(w) + 1, n_states), dtype=np.int64)
+    cols[0] = hop[dfa.start]
+    reach = np.empty((n_states, n_states), dtype=np.int64)
+    add, least, by_symbol = np.add, np.minimum.reduce, list(transfer)
+    for a, prev, col in zip(w, cols[:, :, None], cols[1:]):
+        least(add(prev, by_symbol[a], out=reach), axis=0, out=col)
 
-    q = min(dfa.accepting, key=lambda s: (col[s], s))  # the lowest-id cheapest
-    distance = int(col[q])
+    # the arcs into each state, in (source, symbol) order
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
+    for p, row in enumerate(dfa.delta.tolist()):
+        for b, q in enumerate(row):
+            if q >= 0:
+                into[q].append((p, b))
+    cols = cols.tolist()
+    q = min(dfa.accepting, key=lambda s: (cols[-1][s], s))  # the lowest-id cheapest
+    distance = cols[-1][q]
     witness = []
     i = len(w)
     while i or q != dfa.start:
-        k = int(via[i, q])
-        if k < n_arcs:  # word[i-1] consumed along arc k, or deleted if k is -1
-            i -= 1
+        cur = cols[i]
+        step, arc, deletion = big, None, big
+        if i:
+            prev, a = cols[i - 1], w[i - 1]
+            for p, b in into[q]:
+                if prev[p] + (b != a) < step:
+                    step, arc = prev[p] + (b != a), (p, b)
+            deletion = prev[q] + 1
+        if cur[q] < min(deletion, step):  # inserted, from the first cheapest source
+            arc = min(into[q], key=lambda pb: cur[pb[0]])
         else:
-            k -= n_arcs
-        if k >= 0:
-            witness.append(int(sym[k]))
-            q = int(src[k])
+            i -= 1
+            if deletion < step:
+                continue
+        q, b = arc
+        witness.append(b)
     return EditDistanceResult(distance, tuple(reversed(witness)))
 
 

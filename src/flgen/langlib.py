@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -74,6 +75,11 @@ class LanguageSpec:
     def contains(self, symbols: Sequence[int]) -> bool:
         return self._contains(self._validate(symbols))
 
+    def check(self, symbols: Sequence[int]) -> CheckedWord:
+        """``symbols`` with its ids checked once, for a caller that needs
+        more than one of membership, next sets and text."""
+        return CheckedWord(self, self._validate(symbols))
+
     def sample_positive(self, n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
         if n_min < 0 or n_min > n_max:
             raise UsageError(f"bad length range [{n_min}, {n_max}]")
@@ -82,10 +88,12 @@ class LanguageSpec:
         return self._sample_positive(n_min, n_max, rng)
 
     def next_sets(self, symbols: Sequence[int]) -> list[frozenset[int]]:
-        symbols = self._validate(symbols)
+        return self._walk_next_sets(self._validate(symbols))
+
+    def _walk_next_sets(self, ids: list[int]) -> list[frozenset[int]]:
         if self.dfa is not None:
-            return self._dfa_next_sets(symbols)
-        return self._next_sets(symbols)
+            return self._dfa_next_sets(ids)
+        return self._next_sets(ids)
 
     def sampler_tables(self, n_min: int, n_max: int) -> SamplerTables:
         if self.dfa is None:
@@ -119,6 +127,26 @@ class LanguageSpec:
 
     def __repr__(self) -> str:
         return f"<language {self.name} ({self.class_label}, {self.kind})>"
+
+
+@dataclass(frozen=True)
+class CheckedWord:
+    """A word whose ids ``LanguageSpec.check`` has checked against ``lang``'s
+    alphabet.  Membership and next sets still come from independent routes
+    (the member predicate and the next-set walker); only the check is shared."""
+
+    lang: LanguageSpec
+    ids: list[int]
+
+    def contains(self) -> bool:
+        return self.lang._contains(self.ids)
+
+    def next_sets(self) -> list[frozenset[int]]:
+        return self.lang._walk_next_sets(self.ids)
+
+    def text(self) -> str:
+        glyphs = self.lang.alphabet.glyphs
+        return "".join([glyphs[s] for s in self.ids])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from flgen.automata import EOS, Alphabet, PartialDfa, WeightedDfa
+from flgen.automata import EOS, Alphabet, PartialDfa, WeightedDfa, check_trim
+from flgen.editdist import EditDistanceResult
+from flgen.errors import UsageError
 from flgen.semiring import LOG, Semiring, binning
 
 BITS = Alphabet(["0", "1"])
@@ -238,6 +240,88 @@ def batch_min_levenshtein(word: tuple[int, ...], members: list[tuple[int, ...]])
         group_best = int(prev[:, -1].min())
         best = min(best, group_best)
     return best
+
+
+def wagner_column_dp(dfa: PartialDfa, word) -> EditDistanceResult:
+    """d(L, word) and its witness by Wagner's column DP with a per-column
+    record of the move into each state: the witness tie-rule oracle for
+    ``flgen.editdist.edit_distance``, which derives the same moves from its
+    columns instead.
+
+    Column i holds, per state q, the fewest edits that turn word[:i] into a
+    string leading from the start to q.  Column i comes from column i-1 by
+    consuming word[i-1] along an arc (cost 0 on a match, 1 otherwise) or by
+    deleting it (cost 1, same state); insertions (cost 1 along an arc) then
+    relax the column until it stops changing.
+
+    Ties, which fix the witness: into each state, a consuming step beats a
+    deletion of equal cost; among arcs, the first in (source, symbol) order
+    wins; an insertion replaces a step only when strictly cheaper.  The
+    witness ends at the lowest-id cheapest accepting state.
+    """
+    ok, state = check_trim(dfa)
+    if not ok:
+        raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
+    n_states, n_syms = dfa.delta.shape
+    w = np.asarray(word, dtype=np.int64)
+    foreign = w[(w < 0) | (w >= n_syms)]
+    if foreign.size:
+        raise UsageError(f"symbol id {foreign[0]} outside the alphabet")
+
+    src, sym = np.nonzero(dfa.delta >= 0)  # arcs in (source, symbol) order
+    n_arcs = len(src)
+    big = len(w) + n_states  # above every reachable column entry
+    # in_arc[q]: the arcs into q in that order, padded with a dummy id n_arcs
+    # whose step costs big; argmin over a row then picks the first cheapest
+    into: list[list[int]] = [[] for _ in range(n_states)]
+    for k, q in enumerate(dfa.delta[src, sym]):
+        into[q].append(k)
+    width = max(1, max(map(len, into)))
+    in_arc = np.array([arcs + [n_arcs] * (width - len(arcs)) for arcs in into])
+    pad = in_arc == n_arcs
+    in_src = np.append(src, 0)[in_arc]
+    mismatch = np.append(sym, 0)[in_arc] != np.arange(n_syms)[:, None, None]
+    consume_cost = np.where(pad, big, mismatch)  # per symbol read
+    insert_cost = np.where(pad, big, 1)
+    states = np.arange(n_states)
+
+    col = np.full(n_states, big)
+    col[dfa.start] = 0
+    # via[i, q]: arc into q at column i, n_arcs + it if inserted, -1 if deleted or the start
+    via = np.full((len(w) + 1, n_states), -1)
+    for i in range(len(w) + 1):
+        if i:
+            cost = col[in_src] + consume_cost[w[i - 1]]
+            first = cost.argmin(axis=1)
+            step = cost[states, first]
+            deleted = col + 1 < step
+            via[i] = np.where(deleted, -1, in_arc[states, first])
+            col = np.minimum(col + 1, step)
+        stepped = col
+        while True:
+            cost = col[in_src] + insert_cost
+            first = cost.argmin(axis=1)
+            inserted = cost[states, first]
+            if not (inserted < col).any():
+                break
+            col = np.minimum(col, inserted)
+        relaxed = col < stepped
+        via[i, relaxed] = n_arcs + in_arc[states, first][relaxed]
+
+    q = min(dfa.accepting, key=lambda s: (col[s], s))  # the lowest-id cheapest
+    distance = int(col[q])
+    witness = []
+    i = len(w)
+    while i or q != dfa.start:
+        k = int(via[i, q])
+        if k < n_arcs:  # word[i-1] consumed along arc k, or deleted if k is -1
+            i -= 1
+        else:
+            k -= n_arcs
+        if k >= 0:
+            witness.append(int(sym[k]))
+            q = int(src[k])
+    return EditDistanceResult(distance, tuple(reversed(witness)))
 
 
 def refutation_depth(n_symbols: int, node_budget: int = 400) -> int:

@@ -2,6 +2,7 @@
 report formats, determinism, and the validate round trip."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,30 @@ def test_generate_annotate_emits_next_fields(tmp_path):
             assert len(ex.next_sets) == len(ex.symbols) + 1
         else:
             assert ex.next_sets is None
+
+
+def test_parser_is_reused_without_leaking_between_calls(tmp_path, capsys):
+    """main() builds its parser once per process.  An --override list from
+    one call must not reach the next, and a failed parse must not break the
+    next call.  The probe split stands in for train because its default is
+    50 records rather than 10,000."""
+    from flgen.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert SMALL[-2:] == ["--override", "editdist-probe=10:0:60"]
+    out = tmp_path / "suite"
+    probes = out / "parity.editdist-probe.jsonl"
+    for argv_tail, count, n_max in [(SMALL, 10, 60), (SMALL[:-2], 50, 500)]:
+        assert main(["generate", "--language", "parity", "--out", str(out), *argv_tail]) == 0
+        split = read_split(probes)
+        assert (split.count, split.n_max) == (count, n_max)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--language", "parity", "--seed", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["stats", "parity"]) == 0
+    assert capsys.readouterr().out.startswith("language: parity\n")
 
 
 def test_generate_infeasible_range_exits_2(tmp_path, capsys):
@@ -396,3 +421,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "valid lengths [0,40]: 0, 2, 4" in proc.stdout
+
+
+def test_package_runs_as_module_from_a_checkout():
+    """``PYTHONPATH=src python -m flgen`` works without an install."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flgen", "stats", "parity"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("language: parity\n")

@@ -17,9 +17,9 @@ from flgen.dataset import (
     validate_split,
     write_split,
 )
-from flgen.automata import EOS
+from flgen.automata import EOS, Alphabet
 from flgen.errors import ConfigurationError, GenerationError, IntegrityError, ParseError
-from flgen.langlib import get_language
+from flgen.langlib import LanguageSpec, get_language
 
 
 def test_generate_example_properties():
@@ -131,6 +131,33 @@ def test_next_field_rendering(tmp_path):
                 assert cur == sorted(set(cur) - {"</s>"}) + (
                     ["</s>"] if "</s>" in cur else []
                 )
+
+
+@pytest.mark.parametrize("name", ["parity", "marked-reversal"])
+def test_ids_are_checked_once_per_example(name, monkeypatch):
+    """An annotated positive draw and the validation of each example check
+    the word's ids once, shared by membership, next sets and text."""
+    lang = get_language(name)
+    split = generate_split(lang, "val-short", 4, annotate=True, count=40, n_max=12)
+    assert any(ex.label for ex in split.examples)
+    checks = {"validate": 0, "first_bad_id": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            checks[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(LanguageSpec, "_validate", counted(LanguageSpec._validate, "validate"))
+    monkeypatch.setattr(Alphabet, "first_bad_id", counted(Alphabet.first_bad_id, "first_bad_id"))
+    assert validate_split(split) == []
+    assert checks == {"validate": 40, "first_bad_id": 40}
+
+    checks.update(validate=0, first_bad_id=0)
+    ex = generate_example(lang, 0, 12, True, np.random.default_rng(9), label=True)
+    assert checks == {"validate": 1, "first_bad_id": 1}
+    assert ex.text == lang.render(ex.symbols)
+    assert ex.next_sets == tuple(lang.next_sets(ex.symbols))
 
 
 def test_validate_catches_tampering():

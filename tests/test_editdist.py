@@ -1,8 +1,9 @@
-"""Edit-distance tests: the column DP against the product reference route
-and brute-force enumeration; the reference route's chain automaton against a
-direct Levenshtein oracle, tropical lifting, product composition and
-allsum."""
+"""Edit-distance tests: the column DP against the product reference route,
+brute-force enumeration and the per-column witness oracle; the reference
+route's chain automaton against a direct Levenshtein oracle, tropical
+lifting, product composition and allsum."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,13 @@ from flgen.errors import UsageError
 from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.perturb import apply_edits, sample_negative
 
-from .oracles import BITS, batch_min_levenshtein, enumerate_members, levenshtein
+from .oracles import (
+    BITS,
+    batch_min_levenshtein,
+    enumerate_members,
+    levenshtein,
+    wagner_column_dp,
+)
 
 LANGS = ["repeat-01", "parity", "even-pairs", "dyck-2-3"]
 
@@ -190,6 +197,43 @@ def test_column_dp_matches_product_reference(name):
         assert levenshtein(result.witness, word) == result.distance
 
 
+# DFAs whose shape the shipped ones do not cover: a self-loop at the start, a
+# start without incoming arcs that does not accept, and two accepting states
+# that tie for the empty word
+EDGE_DFAS = {
+    "start-self-loop": PartialDfa(2, BITS, {(0, 0): 0, (0, 1): 1, (1, 1): 1, (1, 0): 0}, 0, [1]),
+    "no-arcs-into-start": PartialDfa(
+        3, BITS, {(0, 0): 1, (0, 1): 2, (1, 1): 2, (2, 0): 1, (2, 1): 2}, 0, [2]),
+    "tied-accepting": PartialDfa(3, BITS, {(0, 0): 2, (0, 1): 1, (1, 0): 2, (2, 1): 1}, 0, [1, 2]),
+}
+
+
+def test_witness_matches_column_oracle():
+    """The transfer-matrix DP reports the same distance and witness as the
+    per-column DP that records each move: on every word of length <= 4 over
+    each shipped alphabet, 20 seeded words of length 0-500 per language, and
+    every word of length <= 7 on the edge-case DFAs."""
+    rng = default_rng(7_007)
+    cases = []
+    for name in REGULAR_NAMES:
+        dfa = get_language(name).dfa
+        n_syms = len(dfa.alphabet)
+        cases += [(dfa, w) for n in range(5) for w in itertools.product(range(n_syms), repeat=n)]
+        cases += [(dfa, _random_word(rng, n_syms, 500)) for _ in range(20)]
+    for dfa in EDGE_DFAS.values():
+        cases += [(dfa, w) for n in range(8) for w in itertools.product(range(2), repeat=n)]
+    for dfa, word in cases:
+        assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), (dfa.alphabet, word)
+
+
+def test_edge_dfa_frozen_examples():
+    # the empty word is one insertion from both accepting states; the lower id wins
+    assert edit_distance(EDGE_DFAS["tied-accepting"], []) == EditDistanceResult(1, (1,))
+    # reading 0s at the start costs nothing along its self-loop
+    assert edit_distance(EDGE_DFAS["start-self-loop"], [0, 0, 0]) == EditDistanceResult(1, (0, 0, 1))
+    assert edit_distance(EDGE_DFAS["no-arcs-into-start"], [0]) == EditDistanceResult(1, (1,))
+
+
 def test_pipeline_frozen_examples():
     rep = get_language("repeat-01")
     result = edit_distance(rep.dfa, rep.alphabet.encode("0"))
@@ -303,3 +347,18 @@ def test_out_of_alphabet_symbol_rejected():
     parity = get_language("parity")
     with pytest.raises(UsageError):
         edit_distance(parity.dfa, [0, 9])
+    with pytest.raises(UsageError):  # not an OverflowError from a fixed-width cast
+        edit_distance(parity.dfa, [0, 2**63])
+
+
+def test_ids_must_be_integers():
+    """Ids are checked as ``LanguageSpec.contains`` checks them: a float
+    raises rather than being truncated, and numpy integers are accepted."""
+    parity = get_language("parity")
+    with pytest.raises(TypeError):
+        edit_distance(parity.dfa, [1.5, 0])
+    with pytest.raises(TypeError):
+        parity.contains([1.5, 0])
+    ids = np.array([1, 0, 0], dtype=np.int64)
+    assert edit_distance(parity.dfa, ids) == edit_distance(parity.dfa, [1, 0, 0])
+    assert edit_distance(parity.dfa, list(ids)) == EditDistanceResult(0, (1, 0, 0))

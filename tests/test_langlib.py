@@ -370,7 +370,7 @@ def test_out_of_alphabet_symbols():
 
 
 @pytest.mark.parametrize("name", ["parity", "bucket-sort"])
-@pytest.mark.parametrize("call", ["contains", "next_sets"])
+@pytest.mark.parametrize("call", ["contains", "next_sets", "check"])
 def test_out_of_alphabet_message_names_the_first_bad_id(name, call):
     lang = get_language(name)
     n = len(lang.alphabet)
