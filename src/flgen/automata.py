@@ -107,7 +107,8 @@ class PartialDfa:
     """Deterministic automaton whose transition function may be undefined.
 
     A missing transition means immediate rejection.  The table is stored
-    densely: ``delta[q, a]`` is the target state or -1.
+    densely: ``delta[q, a]`` is the target state or -1.  It is read-only
+    once built, so tables derived from it and kept per DFA stay valid.
     """
 
     def __init__(
@@ -138,6 +139,8 @@ class PartialDfa:
             self.delta[src, sym] = dst
         self._accept_mask = np.zeros(n_states, dtype=bool)
         self._accept_mask[list(self.accepting)] = True
+        self.delta.flags.writeable = False
+        self._accept_mask.flags.writeable = False
 
     @property
     def n_transitions(self) -> int:

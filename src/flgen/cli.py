@@ -187,7 +187,7 @@ def _read_input_strings(path: Path) -> list[tuple[int, str]]:
     example texts; anything else is treated as one input string per line."""
     lines = read_lines(path)
     if lines and lines[0].startswith("{"):
-        return list(enumerate((ex.text for ex in read_split(path).examples), start=2))
+        return list(enumerate((ex.text for ex in read_split(path, lines).examples), start=2))
     return list(enumerate(lines, start=1))
 
 

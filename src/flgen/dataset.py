@@ -88,9 +88,9 @@ def generate_example(
         if annotate:
             word = lang.check(symbols)
             return LabeledExample(tuple(symbols), word.text(), True, tuple(word.next_sets()))
-    else:
-        symbols = sample_negative(lang, n_min, n_max, rng)
-    return LabeledExample(tuple(symbols), lang.render(symbols), label)
+        return LabeledExample(tuple(symbols), lang.render(symbols), True)
+    word = sample_negative(lang, n_min, n_max, rng, checked=True)
+    return LabeledExample(tuple(word.ids), word.text(), False)
 
 
 def generate_split(
@@ -123,8 +123,8 @@ def generate_split(
         label: bool | None = None
         for _attempt in range(dedup_attempts):
             if negatives_only:
-                symbols = sample_negative(lang, n_min, n_max, rng)
-                example = LabeledExample(tuple(symbols), lang.render(symbols), False)
+                word = sample_negative(lang, n_min, n_max, rng, checked=True)
+                example = LabeledExample(tuple(word.ids), word.text(), False)
                 label = False
             else:
                 example = generate_example(lang, n_min, n_max, annotate, rng, label)
@@ -266,9 +266,12 @@ def read_lines(path) -> list[str]:
         raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", line_no) from None
 
 
-def read_split(path) -> DatasetSplit:
+def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
+    """Parse the split file at ``path``; a caller that has already read it
+    passes its ``lines`` so the file is read once."""
     path = Path(path)
-    lines = read_lines(path)
+    if lines is None:
+        lines = read_lines(path)
     if not lines:
         raise ParseError("empty split file", 1)
 

@@ -1,9 +1,13 @@
 """Exact edit distance from a string to a regular language: ``edit_distance``
 is Wagner's column DP (Wagner 1974, *Order-n correction for regular
 languages*) with each input symbol's column step folded into one min-plus
-transfer matrix over the DFA states: O(|Σ| · |Q|² + depth · |Q|³) set-up and
-O(|w| · |Q|²) per word, vectorised per symbol.  The chain-WFA product route
-after it is the reference the tests check it against.
+transfer matrix over the DFA states, and each pair of symbols into the
+min-plus product of two of them.  The tables cost O(|Σ|² · |Q|³ + depth ·
+|Q|³) once per DFA and are held, keyed by the DFA, for as long as it lives
+(the shipped DFAs for the life of the process).  A word then costs ⌊|w|/2⌋
+min-plus steps for its even columns and one batched step for its odd ones,
+O(|w| · |Q|²) in all.  The chain-WFA product route after it is the reference
+the tests check it against.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,10 @@ from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim
 from .errors import UsageError
 from .semiring import TROPICAL
 
+#: stands for "no path": above every finite hop and column entry whatever the
+#: word's length, and far from int64 overflow in a sum of a few of them
+BIG = 2**40
+
 
 @dataclass(frozen=True)
 class EditDistanceResult:
@@ -26,17 +35,32 @@ class EditDistanceResult:
     witness: tuple[int, ...] | None
 
 
-def _hop_distances(dfa: PartialDfa, big: int) -> np.ndarray:
-    """hop[p, q]: the fewest arcs from p to q, ``big`` where q is unreachable.
-    A last row of ``big`` stands for a missing transition, so hop[delta] is
-    ``big`` wherever delta is -1.  Every arc costs 1, so a breadth-first
+@dataclass(frozen=True)
+class _Tables:
+    """What ``edit_distance`` needs of one trim DFA, whatever the word."""
+
+    col0: np.ndarray  # the column of the empty prefix
+    transfer: np.ndarray  # [a, p, q]: T_a
+    pairs: list[np.ndarray]  # [a * |Σ| + b][p, q]: T_a ⊗ T_b
+    into: list[list[tuple[int, int]]]  # the arcs into each state, in (source, symbol) order
+
+
+# weak keys: a DFA's tables go with it; the shipped DFAs, which langlib
+# caches, keep theirs for the life of the process
+_TABLES: weakref.WeakKeyDictionary[PartialDfa, _Tables] = weakref.WeakKeyDictionary()
+
+
+def _hop_distances(dfa: PartialDfa) -> np.ndarray:
+    """hop[p, q]: the fewest arcs from p to q, ``BIG`` where q is unreachable.
+    A last row of ``BIG`` stands for a missing transition, so hop[delta] is
+    ``BIG`` wherever delta is -1.  Every arc costs 1, so a breadth-first
     search is the whole insertion closure; it runs from all states at once,
     one |Q| x |Q| matrix product per depth level."""
     n_states = dfa.n_states
     adjacent = np.zeros((n_states, n_states))  # float, so each product is one BLAS call
     src, sym = np.nonzero(dfa.delta >= 0)
     adjacent[src, dfa.delta[src, sym]] = 1
-    hop = np.full((n_states + 1, n_states), big, dtype=np.int64)
+    hop = np.full((n_states + 1, n_states), BIG, dtype=np.int64)
     reached = np.eye(n_states, dtype=bool)
     frontier = reached
     depth = 0
@@ -46,6 +70,28 @@ def _hop_distances(dfa: PartialDfa, big: int) -> np.ndarray:
         frontier = (frontier @ adjacent > 0) & ~reached
         reached = reached | frontier
     return hop
+
+
+def _build_tables(dfa: PartialDfa) -> _Tables:
+    """With hop[p, q] the fewest arcs from p to q, T_a[p, q] = min(1 + hop[p, q],
+    min over arcs p -b-> r of [b != a] + hop[r, q]): delete a, or read it along
+    any arc (a match or a substitution), then insert along a shortest path.
+    The pair tables are built one (a, b) at a time, one |Q|³ temporary each."""
+    ok, state = check_trim(dfa)
+    if not ok:
+        raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
+    hop = _hop_distances(dfa)
+    after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
+    # delete the symbol, or read it along any arc as a substitution
+    either = np.minimum(hop[:-1], after.min(axis=1)) + 1
+    transfer = np.minimum(either[None], after.transpose(1, 0, 2))  # [a, p, q]
+    pairs = [(t_a[:, :, None] + t_b).min(axis=1) for t_a in transfer for t_b in transfer]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(dfa.n_states)]
+    for p, row in enumerate(dfa.delta.tolist()):
+        for b, q in enumerate(row):
+            if q >= 0:
+                into[q].append((p, b))
+    return _Tables(hop[dfa.start], transfer, pairs, into)
 
 
 def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
@@ -58,49 +104,45 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     deleting it (cost 1, same state); insertions (cost 1 along an arc) then
     relax the column until it stops changing.
 
-    All of that is one min-plus product per symbol: with hop[p, q] the fewest
-    arcs from p to q, T_a[p, q] = min(1 + hop[p, q], min over arcs p -b-> r
-    of [b != a] + hop[r, q]) and col_i = min_p(col_{i-1}[p] + T_a[p, :]).
-    Each column costs one add and one min-reduction over |Q|² entries in C:
-    more entries than there are arcs (729 against 105 on modular-arithmetic),
-    but only two numpy calls per symbol.  The columns are kept, and the
-    witness is walked back through them, re-deriving at each step which move
-    the tie rule picks.
+    All of that is one min-plus product per symbol, col_i = col_{i-1} ⊗ T_a
+    with a = word[i-1] (see ``_build_tables``), and min-plus products are
+    associative over exact ints.  So the even columns come two symbols per
+    step, col_{2k+2} = col_{2k} ⊗ (T_a ⊗ T_b), from a pair table built once
+    per DFA: one add and one min-reduction over |Q|² entries in C each.  The
+    odd columns then come from the even ones in one batched step.  The
+    columns are kept, and the witness is walked back through them,
+    re-deriving at each step which move the tie rule picks.
 
     Ties, which fix the witness: into each state, a consuming step beats a
     deletion of equal cost; among arcs, the first in (source, symbol) order
     wins; an insertion replaces a step only when strictly cheaper.  The
     witness ends at the lowest-id cheapest accepting state.
     """
-    ok, state = check_trim(dfa)
-    if not ok:
-        raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
+    tables = _TABLES.get(dfa)
+    if tables is None:
+        tables = _TABLES[dfa] = _build_tables(dfa)
     w = list(map(operator.index, word))  # exact ints; a float raises TypeError
     bad = dfa.alphabet.first_bad_id(w)
     if bad is not None:
         raise UsageError(f"symbol id {bad} outside the alphabet")
 
-    n_states = dfa.n_states
-    big = len(w) + n_states  # above every finite hop and column entry
-    hop = _hop_distances(dfa, big)
-    after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
-    # delete the symbol, or read it along any arc as a substitution
-    either = np.minimum(hop[:-1], after.min(axis=1)) + 1
-    transfer = np.minimum(either[None], after.transpose(1, 0, 2))  # [a, p, q]
-
+    n_syms, n_states = len(dfa.alphabet), dfa.n_states
+    ids = np.array(w, dtype=np.intp)
+    firsts, seconds = ids[0::2], ids[1::2]
     cols = np.empty((len(w) + 1, n_states), dtype=np.int64)
-    cols[0] = hop[dfa.start]
+    cols[0] = tables.col0
+    even = cols[0::2]
     reach = np.empty((n_states, n_states), dtype=np.int64)
-    add, least, by_symbol = np.add, np.minimum.reduce, list(transfer)
-    for a, prev, col in zip(w, cols[:, :, None], cols[1:]):
-        least(add(prev, by_symbol[a], out=reach), axis=0, out=col)
+    add, least, pairs = np.add, np.minimum.reduce, tables.pairs
+    pair_ids = (firsts[: len(seconds)] * n_syms + seconds).tolist()
+    for prev, pair, col in zip(even[:, :, None], pair_ids, even[1:]):
+        least(add(prev, pairs[pair], out=reach), axis=0, out=col)
+    # col_{2k+1} = col_{2k} ⊗ T_{word[2k]}, all k at once
+    odd = tables.transfer[firsts]
+    odd += even[: len(firsts), :, None]
+    least(odd, axis=1, out=cols[1::2])
 
-    # the arcs into each state, in (source, symbol) order
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-    for p, row in enumerate(dfa.delta.tolist()):
-        for b, q in enumerate(row):
-            if q >= 0:
-                into[q].append((p, b))
+    into = tables.into
     cols = cols.tolist()
     q = min(dfa.accepting, key=lambda s: (cols[-1][s], s))  # the lowest-id cheapest
     distance = cols[-1][q]
@@ -108,7 +150,7 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     i = len(w)
     while i or q != dfa.start:
         cur = cols[i]
-        step, arc, deletion = big, None, big
+        step, arc, deletion = BIG, None, BIG
         if i:
             prev, a = cols[i - 1], w[i - 1]
             for p, b in into[q]:

@@ -114,11 +114,14 @@ def sample_negative(
     *,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     return_info: bool = False,
+    checked: bool = False,
 ):
     """Draw one string in [n_min, n_max] that the language rejects.
 
     Every attempt re-flips the branch coin; a perturbation whose result is
     still a member restarts from scratch rather than being edited further.
+    With ``checked``, the string comes back as the ``CheckedWord`` that its
+    membership test used, so its text needs no second id check.
     """
     if n_min < 0 or n_min > n_max:
         raise UsageError(f"bad length range [{n_min}, {n_max}]")
@@ -136,10 +139,12 @@ def sample_negative(
                 base, sample_edit_count(rng), n_symbols, n_min, n_max, rng
             )
             source = tuple(base)
-        if not lang.contains(word):
+        candidate = lang.check(word)
+        if not candidate.contains():
+            kept = candidate if checked else candidate.ids
             if return_info:
-                return word, NegativeInfo(branch, attempt, plan, source)
-            return word
+                return kept, NegativeInfo(branch, attempt, plan, source)
+            return kept
     raise GenerationError(
         f"complement too small: no rejected string in [{n_min}, {n_max}] "
         f"after {max_attempts} attempts"

@@ -143,6 +143,16 @@ def test_transitions_from_is_sorted():
     assert dfa.n_transitions == 3
 
 
+def test_dfa_tables_are_read_only():
+    """Tables derived from a DFA and kept per DFA cannot go stale."""
+    dfa = parity_dfa()
+    with pytest.raises(ValueError):
+        dfa.delta[0, 0] = 1
+    with pytest.raises(ValueError):
+        dfa._accept_mask[0] = True
+    assert dfa_accepts(dfa, [1]) and not dfa_accepts(dfa, [1, 1])
+
+
 def test_check_trim_flags_unreachable_state():
     dfa = PartialDfa(3, BITS, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0, [1])
     ok, witness = check_trim(dfa)

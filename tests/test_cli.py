@@ -337,6 +337,33 @@ def test_editdist_on_probe_split(tmp_path, capsys):
         assert levenshtein(lang.parse(witness), lang.parse(text)) == int(dist)
 
 
+def test_editdist_reads_a_split_file_once(tmp_path, capsys, monkeypatch):
+    """The split is parsed from the lines read to recognise it, and a bad
+    record still reports its own line number."""
+    out = _generate(tmp_path, language="repeat-01")
+    path = out / "repeat-01.editdist-probe.jsonl"
+    lines = path.read_text().splitlines()
+    lines[3] = '{"text": "01"'
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    capsys.readouterr()
+    assert main(["editdist", "--language", "repeat-01", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert reads == [path]
+    reads.clear()
+    assert main(["editdist", "--language", "repeat-01", str(bad)]) == 1
+    assert "line 4: bad record" in capsys.readouterr().err
+    assert reads == [bad]
+
+
 def test_editdist_plain_lines_and_out_file(tmp_path):
     src = tmp_path / "strings.txt"
     src.write_text("0101\n11\n\n")

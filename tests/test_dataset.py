@@ -20,6 +20,7 @@ from flgen.dataset import (
 from flgen.automata import EOS, Alphabet
 from flgen.errors import ConfigurationError, GenerationError, IntegrityError, ParseError
 from flgen.langlib import LanguageSpec, get_language
+from flgen.perturb import sample_negative
 
 
 def test_generate_example_properties():
@@ -133,10 +134,12 @@ def test_next_field_rendering(tmp_path):
                 )
 
 
-@pytest.mark.parametrize("name", ["parity", "marked-reversal"])
+@pytest.mark.parametrize("name", ["parity", "marked-reversal", "dyck-2-3"])
 def test_ids_are_checked_once_per_example(name, monkeypatch):
     """An annotated positive draw and the validation of each example check
-    the word's ids once, shared by membership, next sets and text."""
+    the word's ids once, shared by membership, next sets and text; a
+    negative draw checks each attempt once, and its text shares the check
+    of the attempt it keeps."""
     lang = get_language(name)
     split = generate_split(lang, "val-short", 4, annotate=True, count=40, n_max=12)
     assert any(ex.label for ex in split.examples)
@@ -158,6 +161,18 @@ def test_ids_are_checked_once_per_example(name, monkeypatch):
     assert checks == {"validate": 1, "first_bad_id": 1}
     assert ex.text == lang.render(ex.symbols)
     assert ex.next_sets == tuple(lang.next_sets(ex.symbols))
+
+    checks.update(validate=0, first_bad_id=0)
+    attempts = sum(
+        sample_negative(lang, 0, 12, np.random.default_rng(seed), return_info=True)[1].attempts
+        for seed in range(100)
+    )
+    assert checks == {"validate": attempts, "first_bad_id": attempts}
+    checks.update(validate=0, first_bad_id=0)
+    negatives = [generate_example(lang, 0, 12, False, np.random.default_rng(seed), label=False)
+                 for seed in range(100)]
+    assert checks == {"validate": attempts, "first_bad_id": attempts}
+    assert all(ex.text == lang.render(ex.symbols) for ex in negatives)
 
 
 def test_validate_catches_tampering():

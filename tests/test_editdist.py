@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from flgen import editdist
 from flgen.automata import EPSILON, PartialDfa, Wfa, dfa_accepts, wfa_stringsum
 from flgen.editdist import (
     EditDistanceResult,
@@ -226,6 +227,38 @@ def test_witness_matches_column_oracle():
         assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), (dfa.alphabet, word)
 
 
+def test_every_short_word_on_edge_dfas_matches_column_oracle():
+    """Words of every length 0-9, odd and even, so both the pair steps and
+    the batched odd columns meet each edge-case shape."""
+    for dfa in EDGE_DFAS.values():
+        for n in range(10):
+            for word in itertools.product(range(2), repeat=n):
+                assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
+
+
+def test_long_word_matches_column_oracle():
+    """The "no path" sentinel does not depend on the word: 5,000 symbols."""
+    dfa = get_language("modular-arithmetic").dfa
+    word = _random_word(default_rng(5_000), len(dfa.alphabet), 5_000, min_len=5_000)
+    assert edit_distance(dfa, word) == wagner_column_dp(dfa, word)
+
+
+def test_tables_are_built_once_per_dfa(monkeypatch):
+    build, built = editdist._build_tables, []
+
+    def counted(dfa):
+        built.append(dfa)
+        return build(dfa)
+
+    monkeypatch.setattr(editdist, "_build_tables", counted)
+    first, second = (PartialDfa(2, BITS, {(0, 0): 1, (1, 1): 0}, 0, [0]) for _ in range(2))
+    assert edit_distance(first, [0]) == EditDistanceResult(1, ())
+    assert edit_distance(first, [1, 1, 0]) == EditDistanceResult(2, (0, 1))
+    assert built == [first]
+    assert edit_distance(second, [1]) == EditDistanceResult(1, (0, 1))
+    assert built == [first, second]
+
+
 def test_edge_dfa_frozen_examples():
     # the empty word is one insertion from both accepting states; the lower id wins
     assert edit_distance(EDGE_DFAS["tied-accepting"], []) == EditDistanceResult(1, (1,))
@@ -341,6 +374,8 @@ def test_untrimmed_dfa_rejected():
     dfa = PartialDfa(2, BITS, {(0, 0): 0, (0, 1): 0}, 0, [0])
     with pytest.raises(UsageError):
         edit_distance(dfa, [0])
+    with pytest.raises(UsageError):  # no tables were kept from the first call
+        edit_distance(dfa, [])
 
 
 def test_out_of_alphabet_symbol_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from flgen.automata import Alphabet
 from flgen.errors import GenerationError, UsageError
-from flgen.langlib import get_language
+from flgen.langlib import CheckedWord, get_language
 from flgen.perturb import (
     DELETE,
     INSERT,
@@ -26,6 +26,9 @@ class StubLang:
 
     def contains(self, symbols):
         return self._contains(symbols)
+
+    def check(self, symbols):
+        return CheckedWord(self, list(symbols))
 
     def sample_positive(self, n_min, n_max, rng):
         return self._sample(n_min, n_max, rng)
