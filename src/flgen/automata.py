@@ -142,10 +142,6 @@ class PartialDfa:
         self.delta.flags.writeable = False
         self._accept_mask.flags.writeable = False
 
-    @property
-    def n_transitions(self) -> int:
-        return int((self.delta >= 0).sum())
-
     def transitions_from(self, state: int) -> list[tuple[int, int]]:
         """(symbol, target) pairs leaving ``state``, sorted by symbol id."""
         row = self.delta[state]

@@ -256,14 +256,20 @@ def write_split(split: DatasetSplit, path) -> None:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; bytes that do not decode are a
-    ParseError on their line."""
+    r"""The lines of a UTF-8 text file, split at ``\n`` only, so that U+2028,
+    form feeds and the like stay inside their line; one trailing ``\r`` is
+    dropped from each line.  Bytes that do not decode are a ParseError on
+    their line."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", line_no) from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def read_split(path, lines: list[str] | None = None) -> DatasetSplit:

@@ -807,11 +807,3 @@ def get_language(name: str) -> LanguageSpec:
     if name not in _CACHE:
         _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]
-
-
-def build_regular_dfa(name: str) -> PartialDfa:
-    """The trim DFA of one of the regular languages."""
-    lang = get_language(name)
-    if lang.dfa is None:
-        raise ConfigurationError(f"{name} is not regular; no DFA is available")
-    return lang.dfa

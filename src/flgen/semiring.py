@@ -1,8 +1,9 @@
-"""Weight algebras for path counting: real, log, tropical, and length-binned.
+"""Weight algebras for path counting: real, log and tropical scalars, plus
+length-binned log vectors.
 
 Scalar operations live on the semiring singletons (``REAL``, ``LOG``,
-``TROPICAL``); ``BinningSemiring`` wraps any scalar base with vectors indexed
-by consumed length, where multiplication is truncated convolution.
+``TROPICAL``); ``BinningSemiring`` holds log weights in vectors indexed by
+consumed length, where multiplication is truncated convolution.
 """
 
 from __future__ import annotations
@@ -13,83 +14,12 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 
-_BLOCK = 64
-# exp() underflows once an entry sits ~745 nats below its shift point; block
-# pairs whose combined internal spread exceeds this take the exact slow path.
-_SPREAD_LIMIT = 600.0
-
 
 def _logsumexp(arr: np.ndarray) -> float:
     m = arr.max()
     if m == -np.inf:
         return -np.inf
     return float(m + np.log(np.exp(arr - m).sum()))
-
-
-def _finite_spread(block: np.ndarray, block_max: float) -> float:
-    finite = block[block != -np.inf]
-    return float(block_max - finite.min())
-
-
-def _diagonal_logsumexp(ub: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Exact convolution of two short log-weight blocks, one diagonal at a time."""
-    grid = np.fliplr(ub[:, None] + vb[None, :])
-    nv = vb.shape[0]
-    out = np.empty(ub.shape[0] + nv - 1)
-    for k in range(out.shape[0]):
-        out[k] = _logsumexp(np.diagonal(grid, offset=nv - 1 - k))
-    return out
-
-
-def _log_convolve(u: np.ndarray, v: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """log-space convolution: out[k] = logsumexp over i+j=k of u[i] + v[j].
-
-    Works block-by-block so every exponentiation is shifted by its own block
-    maximum and the block contributions are merged with logaddexp; no global
-    shift is applied, so widely spread magnitudes stay exact.
-    """
-    out_len = u.shape[0] + v.shape[0] - 1
-    if limit is not None:
-        out_len = min(out_len, limit + 1)
-    out = np.full(out_len, -np.inf)
-    for i0 in range(0, min(u.shape[0], out_len), _BLOCK):
-        ub = u[i0:i0 + _BLOCK]
-        mu = ub.max()
-        if mu == -np.inf:
-            continue
-        for j0 in range(0, v.shape[0], _BLOCK):
-            k0 = i0 + j0
-            if k0 >= out_len:
-                break
-            vb = v[j0:j0 + _BLOCK]
-            mv = vb.max()
-            if mv == -np.inf:
-                continue
-            if _finite_spread(ub, mu) + _finite_spread(vb, mv) > _SPREAD_LIMIT:
-                seg = _diagonal_logsumexp(ub, vb)
-            else:
-                with np.errstate(divide="ignore"):
-                    seg = np.log(np.convolve(np.exp(ub - mu), np.exp(vb - mv)))
-                seg += mu + mv
-            dest = out[k0:min(k0 + seg.shape[0], out_len)]
-            np.logaddexp(dest, seg[:dest.shape[0]], out=dest)
-    return out
-
-
-def _minplus_convolve(u: np.ndarray, v: np.ndarray, limit: int | None = None) -> np.ndarray:
-    out_len = u.shape[0] + v.shape[0] - 1
-    if limit is not None:
-        out_len = min(out_len, limit + 1)
-    if u.shape[0] > v.shape[0]:
-        u, v = v, u
-    out = np.full(out_len, np.inf)
-    for i in range(min(u.shape[0], out_len)):
-        ui = u[i]
-        if ui == np.inf:
-            continue
-        stop = min(i + v.shape[0], out_len)
-        np.minimum(out[i:stop], ui + v[:stop - i], out=out[i:stop])
-    return out
 
 
 class Semiring:
@@ -108,22 +38,6 @@ class Semiring:
 
     def star(self, a: float) -> float:
         """Solution of x = 1 + a*x, when it exists."""
-        raise NotImplementedError
-
-    def vec_add(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Elementwise add of two weight arrays."""
-        raise NotImplementedError
-
-    def vec_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Elementwise mul of two weight arrays."""
-        raise NotImplementedError
-
-    def add_reduce(self, arr: np.ndarray) -> float:
-        """add folded over a 1-D array; the empty fold is zero."""
-        raise NotImplementedError
-
-    def convolve(self, u: np.ndarray, v: np.ndarray, limit: int | None = None) -> np.ndarray:
-        """Full convolution under (add, mul), truncated to limit+1 entries if given."""
         raise NotImplementedError
 
     def isclose(self, a: float, b: float, tol: float | None = None) -> bool:
@@ -152,19 +66,6 @@ class RealSemiring(Semiring):
             raise DomainError(f"divergent star: real star is undefined for {a!r} >= 1")
         return 1.0 / (1.0 - a)
 
-    def vec_add(self, u, v):
-        return u + v
-
-    def vec_mul(self, u, v):
-        return u * v
-
-    def add_reduce(self, arr):
-        return float(arr.sum()) if arr.shape[0] else 0.0
-
-    def convolve(self, u, v, limit=None):
-        out = np.convolve(u, v)
-        return out if limit is None else out[:limit + 1]
-
     def isclose(self, a, b, tol=None):
         tol = self.default_tol if tol is None else tol
         return math.isclose(a, b, rel_tol=tol, abs_tol=1e-12)
@@ -192,18 +93,6 @@ class LogSemiring(Semiring):
             return -math.log(-math.expm1(a))
         return -math.log1p(-math.exp(a))
 
-    def vec_add(self, u, v):
-        return np.logaddexp(u, v)
-
-    def vec_mul(self, u, v):
-        return u + v
-
-    def add_reduce(self, arr):
-        return _logsumexp(arr) if arr.shape[0] else -math.inf
-
-    def convolve(self, u, v, limit=None):
-        return _log_convolve(u, v, limit)
-
     def isclose(self, a, b, tol=None):
         tol = self.default_tol if tol is None else tol
         if math.isinf(a) or math.isinf(b):
@@ -228,18 +117,6 @@ class TropicalSemiring(Semiring):
     def star(self, a):
         return 0.0
 
-    def vec_add(self, u, v):
-        return np.minimum(u, v)
-
-    def vec_mul(self, u, v):
-        return u + v
-
-    def add_reduce(self, arr):
-        return float(arr.min()) if arr.shape[0] else math.inf
-
-    def convolve(self, u, v, limit=None):
-        return _minplus_convolve(u, v, limit)
-
     def isclose(self, a, b, tol=None):
         return a == b
 
@@ -250,32 +127,36 @@ TROPICAL = TropicalSemiring()
 
 
 class BinningSemiring(Semiring):
-    """Length-binned weights over a scalar base semiring.
+    """Length-binned log weights.
 
-    A value is a float64 array of ``order + 1`` bins, bin i holding the base
-    weight of everything that consumes exactly i symbols.  add is elementwise,
-    mul is convolution truncated at ``order``, and star solves the one-sided
-    fixpoint bin by bin in O(order^2) base operations.
+    A value is a float64 array of ``order + 1`` bins, bin i holding the log
+    weight of everything that consumes exactly i symbols.  add is elementwise
+    logaddexp, mul is convolution truncated at ``order``, and star solves the
+    one-sided fixpoint bin by bin in O(order^2) operations.  ``base`` must be
+    ``LOG``.
     """
 
     def __init__(self, base: Semiring, order: int):
-        if isinstance(base, BinningSemiring):
-            raise UsageError("binning over a binning semiring is not supported")
+        if base is not LOG:
+            raise UsageError(f"binning is over the log semiring only, got {base!r}")
         if order < 0:
             raise UsageError(f"order must be nonnegative, got {order}")
         self.base = base
         self.order = order
         self.name = f"binning({base.name}, order={order})"
         self.default_tol = base.default_tol
+        # the (k, i) pairs with i <= k: output bin k gathers u[i] + v[k - i]
+        self._pairs = np.tril_indices(order + 1)
+        self._lag = self._pairs[0] - self._pairs[1]
 
     @property
     def zero(self) -> np.ndarray:
-        return np.full(self.order + 1, self.base.zero)
+        return np.full(self.order + 1, -np.inf)
 
     @property
     def one(self) -> np.ndarray:
-        out = np.full(self.order + 1, self.base.zero)
-        out[0] = self.base.one
+        out = self.zero
+        out[0] = 0.0
         return out
 
     def _check(self, v) -> np.ndarray:
@@ -288,38 +169,30 @@ class BinningSemiring(Semiring):
         return v
 
     def add(self, u, v):
-        return self.base.vec_add(self._check(u), self._check(v))
+        return np.logaddexp(self._check(u), self._check(v))
 
     def mul(self, u, v):
-        return self.base.convolve(self._check(u), self._check(v), limit=self.order)
+        """out[k] = logsumexp over i <= k of u[i] + v[k - i], each output bin
+        shifted by its own largest term, so it is exact at any spread."""
+        u, v = self._check(u), self._check(v)
+        if u.max() == -np.inf or v.max() == -np.inf:
+            return self.zero
+        terms = np.full((self.order + 1, self.order + 1), -np.inf)
+        terms[self._pairs] = u[self._pairs[1]] + v[self._lag]
+        shift = terms.max(axis=1, keepdims=True)
+        shift[shift == -np.inf] = 0.0
+        with np.errstate(divide="ignore"):
+            return shift[:, 0] + np.log(np.exp(terms - shift).sum(axis=1))
 
     def star(self, v):
         v = self._check(v)
-        base = self.base
-        s0 = base.star(float(v[0]))
-        out = np.full(self.order + 1, base.zero)
+        s0 = LOG.star(float(v[0]))
+        out = self.zero
         out[0] = s0
         for i in range(1, self.order + 1):
-            acc = base.add_reduce(base.vec_mul(v[1:i + 1], out[i - 1::-1]))
-            out[i] = base.mul(s0, acc)
+            out[i] = s0 + _logsumexp(v[1:i + 1] + out[i - 1::-1])
         return out
 
     def isclose(self, u, v, tol=None):
         u, v = self._check(u), self._check(v)
-        return all(self.base.isclose(float(a), float(b), tol) for a, b in zip(u, v))
-
-
-def binning(base: Semiring, order: int) -> BinningSemiring:
-    return BinningSemiring(base, order)
-
-
-def bin_add(sr: BinningSemiring, u, v):
-    return sr.add(u, v)
-
-
-def bin_mul(sr: BinningSemiring, u, v):
-    return sr.mul(u, v)
-
-
-def bin_star(sr: BinningSemiring, v):
-    return sr.star(v)
+        return all(LOG.isclose(float(a), float(b), tol) for a, b in zip(u, v))

@@ -15,7 +15,7 @@ import numpy as np
 from flgen.automata import EOS, Alphabet, PartialDfa, WeightedDfa, check_trim
 from flgen.editdist import EditDistanceResult
 from flgen.errors import UsageError
-from flgen.semiring import LOG, Semiring, binning
+from flgen.semiring import LOG, BinningSemiring, Semiring
 
 BITS = Alphabet(["0", "1"])
 
@@ -88,7 +88,7 @@ def lift_weights(dfa: PartialDfa, n_max: int) -> WeightedDfa:
     weights put that mass in bin 1 (one symbol consumed); accept weights
     put it in bin 0.
     """
-    sr = binning(LOG, n_max)
+    sr = BinningSemiring(LOG, n_max)
     transitions = {}
     accept_weights = []
     for q in range(dfa.n_states):

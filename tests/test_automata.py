@@ -140,7 +140,7 @@ def test_dfa_accepts_rejects_foreign_symbols():
 def test_transitions_from_is_sorted():
     dfa = PartialDfa(2, BITS, {(0, 1): 1, (0, 0): 0, (1, 1): 1}, 0, [1])
     assert dfa.transitions_from(0) == [(0, 0), (1, 1)]
-    assert dfa.n_transitions == 3
+    assert int((dfa.delta >= 0).sum()) == 3
 
 
 def test_dfa_tables_are_read_only():

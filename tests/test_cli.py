@@ -382,6 +382,8 @@ def test_editdist_plain_lines_and_out_file(tmp_path):
 @pytest.mark.parametrize("content, message", [
     (b"01\n0x1\n", "line 2: cannot tokenize '0x1'"),
     (b"01\n0\xff1\n", "line 2: not UTF-8"),
+    # a form feed does not end a line, so it is part of an untokenizable text
+    (b"01\n01\x0c1\n", "line 2: cannot tokenize"),
 ])
 def test_editdist_malformed_plain_line_exits_1_with_line_number(
     tmp_path, capsys, content, message

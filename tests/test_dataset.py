@@ -219,7 +219,7 @@ def test_read_errors(tmp_path):
         write_split(good, path)
         lines = path.read_text().splitlines()
         mutate(lines)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     rewrite(lambda lines: lines.__setitem__(2, "{not json"))
     with pytest.raises(ParseError) as err:
@@ -248,6 +248,12 @@ def test_read_errors(tmp_path):
     with pytest.raises(ParseError, match="tokenize"):
         read_split(path)
 
+    # only \n ends a line, so a raw U+2028 stays inside its record
+    rewrite(lambda lines: lines.__setitem__(2, '{"text":"1\u20281","label":0}'))
+    with pytest.raises(ParseError, match="tokenize") as err:
+        read_split(path)
+    assert err.value.line == 3
+
     rewrite(lambda lines: lines.pop())
     with pytest.raises(IntegrityError, match="promises 3"):
         read_split(path)
@@ -274,6 +280,14 @@ def test_read_errors(tmp_path):
     path.write_text(header_only + "\n")
     with pytest.raises(ParseError, match="n_min"):
         read_split(path)
+
+
+def test_crlf_split_reads_as_lf(tmp_path):
+    good = generate_split(get_language("parity"), "val-short", 1, count=3, n_max=10)
+    path = tmp_path / "x.jsonl"
+    write_split(good, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_split(path) == good
 
 
 def test_dedup_retry_and_exhaustion():

@@ -10,7 +10,6 @@ from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import (
     LANGUAGE_NAMES,
     REGULAR_NAMES,
-    build_regular_dfa,
     get_language,
 )
 from flgen.lcsampler import build_sampler_tables, sample_positive_regular
@@ -160,7 +159,7 @@ EXPECTED_DFA_SIZES = {
 
 @pytest.mark.parametrize("name", REGULAR_NAMES)
 def test_dfa_shapes(name):
-    dfa = build_regular_dfa(name)
+    dfa = get_language(name).dfa
     assert dfa.n_states == EXPECTED_DFA_SIZES[name]
 
 
@@ -396,8 +395,6 @@ def test_registry():
     assert get_language("parity") is get_language("parity")
     with pytest.raises(ConfigurationError):
         get_language("no-such-language")
-    with pytest.raises(ConfigurationError):
-        build_regular_dfa("majority")
 
 
 @pytest.mark.parametrize("name", LANGUAGE_NAMES)

@@ -8,27 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flgen.errors import DomainError, UsageError
-from flgen.semiring import (
-    LOG,
-    REAL,
-    TROPICAL,
-    BinningSemiring,
-    bin_add,
-    bin_mul,
-    bin_star,
-    binning,
-)
-
-BASES = {"real": REAL, "log": LOG, "tropical": TROPICAL}
+from flgen.semiring import LOG, REAL, TROPICAL, BinningSemiring
 
 
-def naive_convolve(base, u, v):
-    """O(D^2) reference: one scalar fold per output diagonal."""
+def naive_convolve(u, v):
+    """O(D^2) reference: one scalar log fold per output diagonal."""
     out = []
     for k in range(len(u)):
-        acc = base.zero
+        acc = LOG.zero
         for i in range(k + 1):
-            acc = base.add(acc, base.mul(float(u[i]), float(v[k - i])))
+            acc = LOG.add(acc, LOG.mul(float(u[i]), float(v[k - i])))
         out.append(acc)
     return np.array(out)
 
@@ -47,7 +36,7 @@ def random_value(sr, rng):
     return random_scalar(sr, rng)
 
 
-SEMIRINGS = [REAL, LOG, TROPICAL, binning(REAL, 12), binning(LOG, 12), binning(TROPICAL, 12)]
+SEMIRINGS = [REAL, LOG, TROPICAL, BinningSemiring(LOG, 12)]
 IDS = [sr.name for sr in SEMIRINGS]
 
 
@@ -127,53 +116,41 @@ def test_log_add_is_shift_stable():
     assert LOG.add(-math.inf, -math.inf) == -math.inf
 
 
-@pytest.mark.parametrize("name", sorted(BASES))
-def test_bin_star_satisfies_fixpoint(name):
-    base = BASES[name]
-    sr = binning(base, 16)
+@pytest.mark.parametrize("base", [LOG], ids=["log"])
+def test_bin_star_satisfies_fixpoint(base):
+    sr = BinningSemiring(base, 16)
     rng = np.random.default_rng(505)
     for _ in range(50):
         v = np.array([random_scalar(base, rng) for _ in range(sr.order + 1)])
-        if base is REAL:
-            v[0] = rng.uniform(0.0, 0.9)
-        elif base is LOG:
-            v[0] = -math.inf if rng.random() < 0.2 else rng.uniform(-30.0, -0.1)
-        w = bin_star(sr, v)
-        rhs = bin_add(sr, sr.one, bin_mul(sr, v, w))
+        v[0] = -math.inf if rng.random() < 0.2 else rng.uniform(-30.0, -0.1)
+        w = sr.star(v)
+        rhs = sr.add(sr.one, sr.mul(v, w))
         assert sr.isclose(w, rhs)
 
 
 def test_bin_star_of_zero_is_one():
-    for base in BASES.values():
-        sr = binning(base, 8)
-        assert sr.isclose(bin_star(sr, sr.zero), sr.one)
+    sr = BinningSemiring(LOG, 8)
+    assert sr.isclose(sr.star(sr.zero), sr.one)
 
 
-_ELEMENTS = {
-    "real": st.floats(0.0, 4.0),
-    "log": st.one_of(st.just(-math.inf), st.floats(-40.0, 0.0)),
-    "tropical": st.one_of(st.just(math.inf), st.integers(0, 30).map(float)),
-}
+_LOG_ELEMENT = st.one_of(st.just(-math.inf), st.floats(-40.0, 0.0))
 
 
 @st.composite
 def _conv_case(draw):
-    name = draw(st.sampled_from(sorted(_ELEMENTS)))
     size = draw(st.integers(1, 65))
-    elem = _ELEMENTS[name]
-    u = draw(st.lists(elem, min_size=size, max_size=size))
-    v = draw(st.lists(elem, min_size=size, max_size=size))
-    return name, np.array(u), np.array(v)
+    u = draw(st.lists(_LOG_ELEMENT, min_size=size, max_size=size))
+    v = draw(st.lists(_LOG_ELEMENT, min_size=size, max_size=size))
+    return np.array(u), np.array(v)
 
 
 @given(_conv_case())
 @settings(max_examples=60, deadline=None)
 def test_bin_mul_matches_naive_oracle(case):
-    name, u, v = case
-    base = BASES[name]
-    sr = binning(base, len(u) - 1)
-    got = bin_mul(sr, u, v)
-    want = naive_convolve(base, u, v)
+    u, v = case
+    sr = BinningSemiring(LOG, len(u) - 1)
+    got = sr.mul(u, v)
+    want = naive_convolve(u, v)
     assert got.shape == want.shape
     assert sr.isclose(got, want)
 
@@ -181,12 +158,12 @@ def test_bin_mul_matches_naive_oracle(case):
 @pytest.mark.parametrize("order", [64, 65, 130, 200])
 def test_log_convolve_multiblock_matches_naive(order):
     rng = np.random.default_rng(606)
-    sr = binning(LOG, order)
+    sr = BinningSemiring(LOG, order)
     u = rng.uniform(-30.0, 0.0, size=order + 1)
     v = rng.uniform(-30.0, 0.0, size=order + 1)
     u[rng.random(order + 1) < 0.2] = -math.inf
     v[rng.random(order + 1) < 0.2] = -math.inf
-    got = bin_mul(sr, u, v)
+    got = sr.mul(u, v)
     for k in range(order + 1):
         terms = u[:k + 1] + v[k::-1]
         finite = terms[terms != -math.inf]
@@ -199,23 +176,23 @@ def test_log_convolve_multiblock_matches_naive(order):
 
 
 def test_log_convolve_extreme_spread_takes_exact_path():
-    sr = binning(LOG, 2)
+    sr = BinningSemiring(LOG, 2)
     v = np.array([0.0, -700.0, -1400.0])
-    got = bin_mul(sr, v, v)
+    got = sr.mul(v, v)
     assert LOG.isclose(float(got[0]), 0.0)
     assert LOG.isclose(float(got[1]), -700.0 + math.log(2.0))
     assert LOG.isclose(float(got[2]), -1400.0 + math.log(3.0))
 
 
 def test_order_zero_binning():
-    sr = binning(REAL, 0)
-    u = np.array([3.0])
-    assert sr.isclose(bin_mul(sr, u, np.array([2.0])), np.array([6.0]))
-    assert sr.isclose(bin_star(sr, np.array([0.5])), np.array([2.0]))
+    sr = BinningSemiring(LOG, 0)
+    u = np.array([math.log(3.0)])
+    assert sr.isclose(sr.mul(u, np.array([math.log(2.0)])), np.array([math.log(6.0)]))
+    assert sr.isclose(sr.star(np.array([math.log(0.5)])), np.array([math.log(2.0)]))
 
 
 def test_bin_vector_shape_is_checked():
-    sr = binning(REAL, 4)
+    sr = BinningSemiring(LOG, 4)
     with pytest.raises(UsageError):
         sr.mul(np.zeros(3), np.zeros(5))
     with pytest.raises(UsageError):
@@ -224,11 +201,9 @@ def test_bin_vector_shape_is_checked():
 
 def test_binning_constructor_rejects_bad_arguments():
     with pytest.raises(UsageError):
-        binning(binning(REAL, 4), 4)
+        BinningSemiring(BinningSemiring(LOG, 4), 4)
+    for base in (REAL, TROPICAL):
+        with pytest.raises(UsageError, match="log semiring only"):
+            BinningSemiring(base, 4)
     with pytest.raises(UsageError):
-        binning(REAL, -1)
-
-
-def test_add_reduce_empty_is_zero():
-    for sr in (REAL, LOG, TROPICAL):
-        assert sr.add_reduce(np.array([])) == sr.zero
+        BinningSemiring(LOG, -1)
