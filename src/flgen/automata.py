@@ -7,7 +7,6 @@ States are dense integers.  Symbols are dense integer ids into an
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -164,43 +163,39 @@ def dfa_accepts(dfa: PartialDfa, symbols: Sequence[int]) -> bool:
     return dfa.is_accepting(state)
 
 
-def _reachable(dfa: PartialDfa) -> np.ndarray:
-    rows = dfa.delta.tolist()  # plain lists index faster than numpy arrays
-    seen = [False] * dfa.n_states
-    seen[dfa.start] = True
-    queue = deque([dfa.start])
-    while queue:
-        q = queue.popleft()
-        for dst in rows[q]:
-            if dst >= 0 and not seen[dst]:
-                seen[dst] = True
-                queue.append(dst)
-    return np.array(seen)
+#: stands for "no path": above every finite hop and edit-distance column
+#: entry whatever the word's length, and far from int64 overflow in a sum of a
+#: few of them
+BIG = 2**40
 
 
-def _coreachable(dfa: PartialDfa) -> np.ndarray:
-    back: list[list[int]] = [[] for _ in range(dfa.n_states)]
-    for src, row in enumerate(dfa.delta.tolist()):
-        for dst in row:
-            if dst >= 0:
-                back[dst].append(src)
-    seen = [False] * dfa.n_states
-    queue = deque()
-    for q in dfa.accepting:
-        seen[q] = True
-        queue.append(q)
-    while queue:
-        q = queue.popleft()
-        for src in back[q]:
-            if not seen[src]:
-                seen[src] = True
-                queue.append(src)
-    return np.array(seen)
+def hop_distances(dfa: PartialDfa) -> np.ndarray:
+    """hop[p, q]: the fewest arcs from p to q, ``BIG`` where q is unreachable;
+    the one reachability routine.  A last row of ``BIG`` stands for a missing
+    transition, so hop[delta] is ``BIG`` wherever delta is -1.  It is a
+    breadth-first search from all states at once, one |Q| x |Q| matrix
+    product per depth level."""
+    n_states = dfa.n_states
+    adjacent = np.zeros((n_states, n_states))  # float, so each product is one BLAS call
+    src, sym = np.nonzero(dfa.delta >= 0)
+    adjacent[src, dfa.delta[src, sym]] = 1
+    hop = np.full((n_states + 1, n_states), BIG, dtype=np.int64)
+    reached = np.eye(n_states, dtype=bool)
+    frontier = reached
+    depth = 0
+    while frontier.any():
+        hop[:-1][frontier] = depth  # a self-loop's diagonal was reached at depth 0
+        depth += 1
+        frontier = (frontier @ adjacent > 0) & ~reached
+        reached = reached | frontier
+    return hop
 
 
 def check_trim(dfa: PartialDfa) -> tuple[bool, int | None]:
-    """Whether every state is reachable and co-reachable; else a witness state."""
-    live = _reachable(dfa) & _coreachable(dfa)
+    """Whether every state is reachable and co-reachable; else a witness state,
+    the lowest that is not."""
+    hop = hop_distances(dfa)[:-1]
+    live = (hop[dfa.start] < BIG) & (hop[:, dfa._accept_mask] < BIG).any(axis=1)
     if live.all():
         return True, None
     return False, int(np.nonzero(~live)[0][0])

@@ -11,14 +11,12 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataset import (
     ROLES,
     DatasetSplit,
     generate_split,
-    generate_standard_suite,
     read_lines,
     read_split,
     split_filename,
@@ -34,7 +32,7 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .langlib import get_language
+from .langlib import LanguageSpec, get_language
 from .lcsampler import build_sampler_tables
 
 EXIT_OK = 0
@@ -45,46 +43,15 @@ EXIT_IO = 3
 MAX_REPORTED_VIOLATIONS = 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments shared by the generation commands."""
-
-    language: str
-    seed: int = 0
-    output_dir: Path = Path(".")
-    overrides: dict[str, tuple[int | None, int | None, int | None]] = field(
-        default_factory=dict
-    )
-    annotate: bool = False
-
-    def __post_init__(self):
-        get_language(self.language)
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
-        for role, (count, n_min, n_max) in self.overrides.items():
-            if role not in ROLES:
-                known = ", ".join(ROLES)
-                raise ConfigurationError(f"unknown split role {role!r}; known: {known}")
-            if count is not None and count < 0:
-                raise ConfigurationError(f"{role}: negative count")
-            if n_min is not None and n_max is not None and not 0 <= n_min <= n_max:
-                raise ConfigurationError(
-                    f"{role}: bad length range [{n_min}, {n_max}]"
-                )
-
-
-def _parse_override(text: str) -> tuple[str, tuple[int, int | None, int | None]]:
+def _parse_override(text: str) -> tuple[str, int, tuple[int, int] | None]:
+    """ROLE=COUNT or ROLE=COUNT:MIN:MAX as (role, count, (min, max) or None)."""
     role, sep, rest = text.partition("=")
-    if not sep or not rest:
-        raise ConfigurationError(
-            f"override {text!r} is not ROLE=COUNT or ROLE=COUNT:MIN:MAX"
-        )
-    parts = rest.split(":")
+    parts = rest.split(":") if sep else []
     try:
         if len(parts) == 1:
-            return role, (int(parts[0]), None, None)
+            return role, int(parts[0]), None
         if len(parts) == 3:
-            return role, (int(parts[0]), int(parts[1]), int(parts[2]))
+            return role, int(parts[0]), (int(parts[1]), int(parts[2]))
     except ValueError:
         pass
     raise ConfigurationError(
@@ -92,57 +59,53 @@ def _parse_override(text: str) -> tuple[str, tuple[int, int | None, int | None]]
     )
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    overrides: dict[str, tuple[int | None, int | None, int | None]] = {}
-    if args.min_len is not None or args.max_len is not None:
-        for role, (_rid, _count, lo, hi) in ROLES.items():
-            overrides[role] = (
-                None,
-                args.min_len if args.min_len is not None else lo,
-                args.max_len if args.max_len is not None else hi,
-            )
+def _split_settings(args: argparse.Namespace) -> dict[str, tuple[int, int, int]]:
+    """Every role's (count, n_min, n_max): the defaults in ROLES, then
+    --min-len and --max-len, then each --override in order."""
+    settings = {
+        role: (count,
+               lo if args.min_len is None else args.min_len,
+               hi if args.max_len is None else args.max_len)
+        for role, (_rid, count, lo, hi) in ROLES.items()
+    }
     for text in args.override:
-        role, (count, lo, hi) = _parse_override(text)
-        base = overrides.get(role, (None, None, None))
-        overrides[role] = (
-            count,
-            lo if lo is not None else base[1],
-            hi if hi is not None else base[2],
-        )
-    return RunConfig(
-        language=args.language,
-        seed=args.seed,
-        output_dir=args.out,
-        overrides=overrides,
-        annotate=args.annotate,
-    )
+        role, count, bounds = _parse_override(text)
+        if role not in settings:
+            known = ", ".join(ROLES)
+            raise ConfigurationError(f"unknown split role {role!r}; known: {known}")
+        settings[role] = (count, *(bounds or settings[role][1:]))
+    for role, (count, n_min, n_max) in settings.items():
+        if count < 0:
+            raise ConfigurationError(f"{role}: negative count")
+        if not 0 <= n_min <= n_max:
+            raise ConfigurationError(f"{role}: bad length range [{n_min}, {n_max}]")
+    return settings
 
 
 # ---------------------------------------------------------------------------
 # generate
 
 
-def _generate_suite(config: RunConfig) -> dict[str, DatasetSplit]:
-    lang = get_language(config.language)
+def _generate_suite(
+    lang: LanguageSpec,
+    seed: int,
+    settings: dict[str, tuple[int, int, int]],
+    annotate: bool,
+) -> dict[str, DatasetSplit]:
+    """The six splits in ROLES order, with test-short deduplicated against
+    the train and validation texts."""
     if lang.dfa is not None:
         # build the sampler once, at the widest horizon of any split; every
         # narrower range is served from the same table
-        widest = 0
-        for role, (*_, default_max) in ROLES.items():
-            n_max = config.overrides.get(role, (None, None, None))[2]
-            widest = max(widest, default_max if n_max is None else n_max)
-        lang.sampler_tables(0, widest)
-    if not config.overrides:
-        return generate_standard_suite(lang, config.seed, annotate=config.annotate)
+        lang.sampler_tables(0, max(n_max for _count, _lo, n_max in settings.values()))
     splits: dict[str, DatasetSplit] = {}
     seen: set[str] = set()
-    for role in ROLES:
-        count, n_min, n_max = config.overrides.get(role, (None, None, None))
+    for role, (count, n_min, n_max) in settings.items():
         splits[role] = generate_split(
             lang,
             role,
-            config.seed,
-            annotate=config.annotate,
+            seed,
+            annotate=annotate,
             count=count,
             n_min=n_min,
             n_max=n_max,
@@ -164,16 +127,20 @@ def _summarize(split: DatasetSplit) -> str:
     )
 
 
-def cmd_generate(config: RunConfig) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
+    lang = get_language(args.language)
+    if args.seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
+    settings = _split_settings(args)
     try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create {config.output_dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot create {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    splits = _generate_suite(config)
+    splits = _generate_suite(lang, args.seed, settings, args.annotate)
     print(f"{'split':<15} {'count':>6}  {'positive':>8}  lengths")
     for role, split in splits.items():
-        write_split(split, config.output_dir / split_filename(config.language, role))
+        write_split(split, args.out / split_filename(lang.name, role))
         print(_summarize(split))
     return EXIT_OK
 
@@ -322,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "generate":
-            return cmd_generate(_build_config(args))
+            return cmd_generate(args)
         if args.command == "editdist":
             return cmd_editdist(args)
         if args.command == "validate":

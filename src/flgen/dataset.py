@@ -115,20 +115,15 @@ def generate_split(
     count = default_count if count is None else count
     n_min = default_min if n_min is None else n_min
     n_max = default_max if n_max is None else n_max
-    negatives_only = role == "editdist-probe"
 
     examples: list[LabeledExample] = []
     for index in range(count):
         rng = _example_rng(master_seed, role_id, index)
-        label: bool | None = None
+        # a probe is a negative: its fixed label draws no coin
+        label: bool | None = False if role == "editdist-probe" else None
         for _attempt in range(dedup_attempts):
-            if negatives_only:
-                word = sample_negative(lang, n_min, n_max, rng, checked=True)
-                example = LabeledExample(tuple(word.ids), word.text(), False)
-                label = False
-            else:
-                example = generate_example(lang, n_min, n_max, annotate, rng, label)
-                label = example.label
+            example = generate_example(lang, n_min, n_max, annotate, rng, label)
+            label = example.label
             if forbidden is None or example.text not in forbidden:
                 break
         else:
@@ -275,7 +270,6 @@ def read_lines(path) -> list[str]:
 def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
     """Parse the split file at ``path``; a caller that has already read it
     passes its ``lines`` so the file is read once."""
-    path = Path(path)
     if lines is None:
         lines = read_lines(path)
     if not lines:
@@ -303,7 +297,7 @@ def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
     lang = get_language(header["language"])
     if len(lines) - 1 != header["count"]:
         raise IntegrityError(
-            f"{path.name}: header promises {header['count']} examples, "
+            f"line 1: header promises {header['count']} examples, "
             f"file has {len(lines) - 1}"
         )
     examples = []

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim
+from .automata import BIG, EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim, hop_distances
 from .errors import UsageError
 from .semiring import TROPICAL
-
-#: stands for "no path": above every finite hop and column entry whatever the
-#: word's length, and far from int64 overflow in a sum of a few of them
-BIG = 2**40
 
 
 @dataclass(frozen=True)
@@ -50,28 +46,6 @@ class _Tables:
 _TABLES: weakref.WeakKeyDictionary[PartialDfa, _Tables] = weakref.WeakKeyDictionary()
 
 
-def _hop_distances(dfa: PartialDfa) -> np.ndarray:
-    """hop[p, q]: the fewest arcs from p to q, ``BIG`` where q is unreachable.
-    A last row of ``BIG`` stands for a missing transition, so hop[delta] is
-    ``BIG`` wherever delta is -1.  Every arc costs 1, so a breadth-first
-    search is the whole insertion closure; it runs from all states at once,
-    one |Q| x |Q| matrix product per depth level."""
-    n_states = dfa.n_states
-    adjacent = np.zeros((n_states, n_states))  # float, so each product is one BLAS call
-    src, sym = np.nonzero(dfa.delta >= 0)
-    adjacent[src, dfa.delta[src, sym]] = 1
-    hop = np.full((n_states + 1, n_states), BIG, dtype=np.int64)
-    reached = np.eye(n_states, dtype=bool)
-    frontier = reached
-    depth = 0
-    while frontier.any():
-        hop[:-1][frontier] = depth  # a self-loop's diagonal was reached at depth 0
-        depth += 1
-        frontier = (frontier @ adjacent > 0) & ~reached
-        reached = reached | frontier
-    return hop
-
-
 def _build_tables(dfa: PartialDfa) -> _Tables:
     """With hop[p, q] the fewest arcs from p to q, T_a[p, q] = min(1 + hop[p, q],
     min over arcs p -b-> r of [b != a] + hop[r, q]): delete a, or read it along
@@ -80,7 +54,7 @@ def _build_tables(dfa: PartialDfa) -> _Tables:
     ok, state = check_trim(dfa)
     if not ok:
         raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
-    hop = _hop_distances(dfa)
+    hop = hop_distances(dfa)
     after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
     # delete the symbol, or read it along any arc as a substitution
     either = np.minimum(hop[:-1], after.min(axis=1)) + 1

@@ -101,6 +101,45 @@ def test_generate_respects_global_length_flags(tmp_path):
         assert all(5 <= len(ex.symbols) <= 12 for ex in split.examples)
 
 
+@pytest.mark.parametrize("argv_tail, train", [
+    ([], (60, 0, 40)),
+    (["--min-len", "5", "--override", "train=3"], (3, 5, 40)),
+    (["--override", "train=3:0:9", "--override", "train=4"], (4, 0, 9)),
+    (["--override", "train=3:2:9", "--max-len", "30"], (3, 2, 9)),
+])
+def test_generate_settings_precedence(tmp_path, argv_tail, train):
+    """Defaults, then --min-len and --max-len, then each --override in order,
+    whatever the order on the command line."""
+    out = _generate(tmp_path, extra=argv_tail)
+    split = read_split(out / "parity.train.jsonl")
+    assert (split.count, split.n_min, split.n_max) == train
+
+
+@pytest.mark.parametrize("language", ["parity", "marked-reversal"])
+@pytest.mark.parametrize("annotate", [False, True])
+def test_generate_without_overrides_writes_the_standard_suite(
+    tmp_path, monkeypatch, language, annotate
+):
+    """With no --override and no length flag, generate writes the bytes of
+    ``generate_standard_suite``; the split counts are cut down here, with
+    every stream id and length range kept."""
+    from flgen import dataset
+
+    for role, (role_id, _count, lo, hi) in dataset.ROLES.items():
+        monkeypatch.setitem(dataset.ROLES, role, (role_id, 12 if hi <= 80 else 3, lo, hi))
+    flag = ["--annotate"] if annotate else []
+    out = tmp_path / "cli"
+    assert main(["generate", "--language", language, "--seed", "9",
+                 "--out", str(out), *flag]) == 0
+    suite = dataset.generate_standard_suite(get_language(language), 9, annotate=annotate)
+    for role, split in suite.items():
+        expected = tmp_path / f"{role}.jsonl"
+        write_split(split, expected)
+        path = out / dataset.split_filename(language, role)
+        assert path.read_bytes() == expected.read_bytes()
+    assert len(list(out.iterdir())) == len(suite) == 6
+
+
 def test_generate_annotate_emits_next_fields(tmp_path):
     out = _generate(tmp_path, extra=["--annotate"])
     split = read_split(out / "parity.train.jsonl")
@@ -195,8 +234,11 @@ def test_validate_flags_truncated_file(tmp_path, capsys):
     lines = (out / "parity.val-short.jsonl").read_text().splitlines()
     bad = tmp_path / "short.jsonl"
     bad.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
     assert main(["validate", str(bad)]) == 1
-    assert "promises" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "promises" in report
+    assert report.splitlines() == [f"{bad}: line 1: header promises 20 examples, file has 19"]
 
 
 def test_validate_unknown_language_exits_2(tmp_path):
