@@ -149,12 +149,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # editdist
 
 
-def _read_input_strings(path: Path) -> list[tuple[int, str]]:
-    """(line number, text) pairs: a generated split file contributes its
-    example texts; anything else is treated as one input string per line."""
+def _read_input_strings(path: Path, language: str) -> list[tuple[int, str]]:
+    """(line number, text) pairs: a generated split file of ``language``
+    contributes its example texts; anything else is treated as one input
+    string per line."""
     lines = read_lines(path)
     if lines and lines[0].startswith("{"):
-        return list(enumerate((ex.text for ex in read_split(path, lines).examples), start=2))
+        split = read_split(path, lines)
+        if split.language != language:
+            raise ConfigurationError(
+                f"{path} is a {split.language} split, but --language is {language}"
+            )
+        return list(enumerate((ex.text for ex in split.examples), start=2))
     return list(enumerate(lines, start=1))
 
 
@@ -168,7 +174,7 @@ def cmd_editdist(args: argparse.Namespace) -> int:
         )
         return EXIT_CONFIG
     lines = []
-    for line_no, text in _read_input_strings(args.input):
+    for line_no, text in _read_input_strings(args.input, lang.name):
         try:
             symbols = lang.parse(text)
         except UsageError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -206,7 +207,8 @@ def _parse_next(
 def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then rename it
     over ``path``: a write that fails part way leaves any earlier file
-    intact and no temporary file behind."""
+    intact and no temporary file behind.  An OSError names ``path``, not
+    the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -214,8 +216,10 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -231,22 +235,28 @@ def _split_lines(split: DatasetSplit) -> Iterator[str]:
         "count": split.count,
     }
     yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    rendered: dict[frozenset[int], list[str]] = {}
+    # each record is written in the key order sort_keys gives, its text
+    # escaped as json.dumps escapes strings; each distinct next set is
+    # JSON-encoded once per file, e.g. ["0","1","</s>"]
+    rendered: dict[frozenset[int], str] = {}
     for ex in split.examples:
-        record = {"text": ex.text, "label": int(ex.label)}
-        if ex.next_sets is not None:
-            nexts = []
-            for cur in ex.next_sets:
-                glyphs = rendered.get(cur)
-                if glyphs is None:
-                    glyphs = rendered[cur] = _render_next_set(lang, cur)
-                nexts.append(glyphs)
-            record["next"] = nexts
-        yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        text = encode_basestring_ascii(ex.text)
+        if ex.next_sets is None:
+            yield f'{{"label":{int(ex.label)},"text":{text}}}\n'
+            continue
+        nexts = []
+        for cur in ex.next_sets:
+            encoded = rendered.get(cur)
+            if encoded is None:
+                encoded = rendered[cur] = json.dumps(
+                    _render_next_set(lang, cur), separators=(",", ":")
+                )
+            nexts.append(encoded)
+        yield f'{{"label":{int(ex.label)},"next":[{",".join(nexts)}],"text":{text}}}\n'
 
 
 def write_split(split: DatasetSplit, path) -> None:
-    """Serialize a split, rendering each distinct next set once per file."""
+    """Serialize a split, JSON-encoding each distinct next set once per file."""
     write_atomic(path, _split_lines(split))
 
 

@@ -2,10 +2,12 @@
 
 Everything here recomputes expected values from first principles (plain
 dynamic programming, exhaustive enumeration, textbook edit distance, the
-generic semiring closure over length-binned weights) without touching the
-production code paths under test.
+generic semiring closure over length-binned weights, a split writer that
+runs ``json.dumps`` on every record) without touching the production code
+paths under test.
 """
 
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -13,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from flgen.automata import EOS, Alphabet, PartialDfa, WeightedDfa, check_trim
+from flgen.dataset import FORMAT_VERSION, DatasetSplit, _render_next_set
 from flgen.editdist import EditDistanceResult
 from flgen.errors import UsageError
+from flgen.langlib import get_language
 from flgen.semiring import LOG, BinningSemiring, Semiring
 
 BITS = Alphabet(["0", "1"])
@@ -583,3 +587,31 @@ def bounded_next_oracle(lang, prefix: list[int], claimed: frozenset,
     if truth_eos != (EOS in claimed):
         mismatches.append((EOS, f"EOS should be {truth_eos}"))
     return mismatches
+
+
+def json_dumps_split_lines(split: DatasetSplit):
+    """The lines of a split file, each record through ``json.dumps`` with
+    sorted keys and no whitespace."""
+    lang = get_language(split.language)
+    header = {
+        "format": FORMAT_VERSION,
+        "language": split.language,
+        "role": split.role,
+        "n_min": split.n_min,
+        "n_max": split.n_max,
+        "seed": split.seed,
+        "count": split.count,
+    }
+    yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    rendered: dict[frozenset[int], list[str]] = {}
+    for ex in split.examples:
+        record = {"text": ex.text, "label": int(ex.label)}
+        if ex.next_sets is not None:
+            nexts = []
+            for cur in ex.next_sets:
+                glyphs = rendered.get(cur)
+                if glyphs is None:
+                    glyphs = rendered[cur] = _render_next_set(lang, cur)
+                nexts.append(glyphs)
+            record["next"] = nexts
+        yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"

@@ -445,6 +445,28 @@ def test_editdist_nonregular_language_exits_2(tmp_path, capsys):
     assert "requires a regular language" in capsys.readouterr().err
 
 
+def test_editdist_split_of_another_language_exits_2(tmp_path, capsys):
+    out = _generate(tmp_path, language="repeat-01")
+    capsys.readouterr()
+    rc = main(["editdist", "--language", "parity",
+               str(out / "repeat-01.editdist-probe.jsonl")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is a repeat-01 split, but --language is parity" in captured.err
+
+
+def test_editdist_unwritable_out_names_the_destination(tmp_path, capsys):
+    src = tmp_path / "strings.txt"
+    src.write_text("01\n")
+    rc = main(["editdist", "--language", "parity", str(src),
+               "--out", str(tmp_path / "nodir" / "x.tsv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "x.tsv" in err
+    assert ".tmp" not in err
+
+
 def test_editdist_missing_input_exits_3(tmp_path):
     rc = main(["editdist", "--language", "parity", str(tmp_path / "nope.txt")])
     assert rc == 3

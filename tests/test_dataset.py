@@ -1,10 +1,9 @@
 """Dataset generation and serialization tests."""
 
-import json
-
 import numpy as np
 import pytest
 
+from flgen import dataset
 from flgen.dataset import (
     ROLES,
     DatasetSplit,
@@ -13,14 +12,17 @@ from flgen.dataset import (
     generate_split,
     generate_standard_suite,
     read_split,
+    _split_lines,
     split_filename,
     validate_split,
     write_split,
 )
 from flgen.automata import EOS, Alphabet
 from flgen.errors import ConfigurationError, GenerationError, IntegrityError, ParseError
-from flgen.langlib import LanguageSpec, get_language
+from flgen.langlib import LANGUAGE_NAMES, LanguageSpec, get_language
 from flgen.perturb import sample_negative
+
+from .oracles import json_dumps_split_lines
 
 
 def test_generate_example_properties():
@@ -132,6 +134,31 @@ def test_next_field_rendering(tmp_path):
                 assert cur == sorted(set(cur) - {"</s>"}) + (
                     ["</s>"] if "</s>" in cur else []
                 )
+
+
+@pytest.mark.parametrize("annotate", [False, True], ids=["plain", "annotate"])
+@pytest.mark.parametrize("name", LANGUAGE_NAMES)
+def test_split_lines_match_the_json_dumps_writer(name, annotate):
+    """The writer formats records itself; its lines are byte-equal to
+    json.dumps with sorted keys and no whitespace, record by record."""
+    split = generate_split(get_language(name), "val-long", 7, annotate=annotate, count=12)
+    assert list(_split_lines(split)) == list(json_dumps_split_lines(split))
+
+
+def test_split_lines_match_the_json_dumps_writer_on_edge_cases():
+    empty = generate_split(get_language("parity"), "train", 1, annotate=True, count=0)
+    assert list(_split_lines(empty)) == list(json_dumps_split_lines(empty))
+    # non-ASCII glyphs are escaped as json.dumps escapes them
+    mod = generate_split(get_language("modular-arithmetic"), "train", 3, annotate=True, count=40)
+    assert any("\u00d7" in ex.text for ex in mod.examples)
+    lines = list(_split_lines(mod))
+    assert lines == list(json_dumps_split_lines(mod))
+    assert all(line.isascii() for line in lines)
+    assert any("\\u00d7" in line for line in lines[1:])
+    # texts the generator never makes still escape alike
+    odd = LabeledExample((), '"\\\x00\t\u2028\U0001f600', False)
+    split = DatasetSplit("parity", "val-short", 0, 40, 0, [odd, odd])
+    assert list(_split_lines(split)) == list(json_dumps_split_lines(split))
 
 
 @pytest.mark.parametrize("name", ["parity", "marked-reversal", "dyck-2-3"])
@@ -318,20 +345,21 @@ def test_write_failing_part_way_keeps_the_earlier_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     replacement = generate_split(lang, "val-short", 2, annotate=True, count=5)
 
-    dumps = json.dumps
+    escape = dataset.encode_basestring_ascii
     calls = []
 
-    def failing_dumps(obj, **kwargs):
-        calls.append(obj)
-        if len(calls) == 4:  # the header, then the third record
+    def failing_escape(text):
+        calls.append(text)
+        if len(calls) == 3:  # the third record's text
             raise OSError(28, "No space left on device")
-        return dumps(obj, **kwargs)
+        return escape(text)
 
-    monkeypatch.setattr(json, "dumps", failing_dumps)
-    with pytest.raises(OSError, match="No space left"):
+    monkeypatch.setattr(dataset, "encode_basestring_ascii", failing_escape)
+    # the error names the destination, not the temporary file
+    with pytest.raises(OSError, match=r"No space left on device: '.*/parity\.val-short\.jsonl'$"):
         write_split(replacement, path)
     monkeypatch.undo()
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
