@@ -7,8 +7,11 @@ routes can be checked against each other.  Non-regular languages implement
 all three operations procedurally, sharing code by family: ``u # f(u)`` for
 marked-reversal, marked-copy, odds-first and bucket-sort, and little-endian
 binary ``x op y = z`` for binary-addition, binary-multiplication and, as its
-one-operand case, compute-sqrt.  Each family's membership predicate stays
-independent of its next-set walker.
+one-operand case, compute-sqrt.  Each procedural next-set walker is one
+linear pass over the word that returns prebuilt sets and calls no membership
+predicate, so every family's predicate stays independent of its walker.
+``_forced_sets`` is the one forced-completion routine: the marked and binary
+families and stack-manipulation all end in a suffix that the prefix fixes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +64,7 @@ class LanguageSpec:
             # the transition table as Python lists: indexing them is cheaper
             # per symbol than indexing the numpy array
             self._rows = dfa.delta.tolist()
+            self._next_sets = self._dfa_next_sets
 
     def _validate(self, symbols: Sequence[int]) -> list[int]:
         out = list(map(operator.index, symbols))  # exact ints; a float raises
@@ -88,12 +92,7 @@ class LanguageSpec:
         return self._sample_positive(n_min, n_max, rng)
 
     def next_sets(self, symbols: Sequence[int]) -> list[frozenset[int]]:
-        return self._walk_next_sets(self._validate(symbols))
-
-    def _walk_next_sets(self, ids: list[int]) -> list[frozenset[int]]:
-        if self.dfa is not None:
-            return self._dfa_next_sets(ids)
-        return self._next_sets(ids)
+        return self._next_sets(self._validate(symbols))
 
     def sampler_tables(self, n_min: int, n_max: int) -> SamplerTables:
         if self.dfa is None:
@@ -142,7 +141,7 @@ class CheckedWord:
         return self.lang._contains(self.ids)
 
     def next_sets(self) -> list[frozenset[int]]:
-        return self.lang._walk_next_sets(self.ids)
+        return self.lang._next_sets(self.ids)
 
     def text(self) -> str:
         glyphs = self.lang.alphabet.glyphs
@@ -208,6 +207,57 @@ def _half_range(n_min: int, n_max: int, extra: int) -> tuple[int, int]:
     lo = (max(0, n_min - extra) + 1) // 2
     hi = (n_max - extra) // 2
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# shared next-set pieces: procedural walkers return only prebuilt sets
+
+_EMPTY: frozenset[int] = frozenset()
+_BITS = frozenset({0, 1})
+_BITS_EOS = frozenset({0, 1, EOS})
+_EOS_ONLY = frozenset({EOS})
+_ZERO_EOS = frozenset({0, EOS})
+_ONLY = tuple(frozenset({s}) for s in range(7))  # up to bucket-sort's 7 glyphs
+
+
+def _forced_sets(tail: list[int], forced: list[int], final: frozenset[int]) -> list[frozenset[int]]:
+    """The next sets over ``tail`` once the rest of a member is fixed:
+    ``forced`` one symbol at a time, then ``final`` for as long as the tail
+    stays in it, and nothing past the first symbol that breaks this."""
+    k = 0
+    while k < len(forced) and k < len(tail) and tail[k] == forced[k]:
+        k += 1
+    sets = [_ONLY[s] for s in forced[:k + 1]]
+    if k == len(forced):
+        while k < len(tail) and tail[k] in final:
+            k += 1
+        sets += [final] * (k + 1 - len(forced))
+    return sets + [_EMPTY] * (len(tail) + 1 - len(sets))
+
+
+def _prefix_function(s: list[int]) -> list[int]:
+    """pi[i]: the longest proper border of s[:i + 1] (Knuth-Morris-Pratt)."""
+    pi, k = [0] * len(s), 0
+    for i in range(1, len(s)):
+        while k and s[i] != s[k]:
+            k = pi[k - 1]
+        if s[i] == s[k]:
+            k += 1
+        pi[i] = k
+    return pi
+
+
+def _z_function(s: list[int]) -> list[int]:
+    """z[i]: the longest common prefix of s and s[i:], for i >= 1 (Gusfield)."""
+    z, lo, hi = [0] * len(s), 0, 0
+    for i in range(1, len(s)):
+        if i < hi:
+            z[i] = min(hi - i, z[i - lo])
+        while i + z[i] < len(s) and s[z[i]] == s[i + z[i]]:
+            z[i] += 1
+        if i + z[i] > hi:
+            lo, hi = i, i + z[i]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +428,9 @@ def _build_majority() -> LanguageSpec:
         return [int(b) for b in rng.permutation(word)]
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
-        out = []
-        ones = 0
-        for t in range(len(w) + 1):
-            cur = {0, 1}
-            if ones > t - ones:
-                cur.add(EOS)
-            out.append(frozenset(cur))
-            if t < len(w):
-                ones += w[t]
-        return out
+        # EOS once the ones in the prefix outnumber its zeros
+        sums = enumerate(accumulate(w), start=1)
+        return [_BITS] + [_BITS_EOS if 2 * ones > t else _BITS for t, ones in sums]
 
     return LanguageSpec("majority", "DCF", BIT_ALPHABET, member, sample, next_sets)
 
@@ -450,62 +493,35 @@ def _stack_sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]
     return word + [_SEQ] + stack[::-1]
 
 
+# the next symbols in each stack-manipulation phase, indexed by whether the
+# stack is non-empty: the leading bits, the actions, the bit after PUSH
+_STACK_BITS = (frozenset({0, 1, _PUSH, _SEQ}), frozenset({0, 1, _POP, _PUSH, _SEQ}))
+_STACK_ACTIONS = (frozenset({_PUSH, _SEQ}), frozenset({_POP, _PUSH, _SEQ}))
+_STACK_PUSHED = (_BITS, _BITS)
+
+
 def _stack_next_sets(w: list[int]) -> list[frozenset[int]]:
-    sets: list[frozenset[int]] = []
-    phase = "init"  # init | actions | after_push | final
-    stack: list[int] = []
-    expected: list[int] = []
-    matched = 0
-    invalid = False
-    for t in range(len(w) + 1):
-        if invalid:
-            sets.append(frozenset())
-        elif phase == "init":
-            cur = {0, 1, _PUSH, _SEQ}
-            if stack:
-                cur.add(_POP)
-            sets.append(frozenset(cur))
-        elif phase == "actions":
-            cur = {_PUSH, _SEQ}
-            if stack:
-                cur.add(_POP)
-            sets.append(frozenset(cur))
-        elif phase == "after_push":
-            sets.append(frozenset({0, 1}))
-        elif matched < len(expected):
-            sets.append(frozenset({expected[matched]}))
+    stack, phase = [], _STACK_BITS
+    sets = [phase[0]]
+    for t, c in enumerate(w):
+        if phase is _STACK_PUSHED:
+            if c > 1:
+                break
+            stack.append(c)
+            phase = _STACK_ACTIONS
+        elif c <= 1 and phase is _STACK_BITS:
+            stack.append(c)
+        elif c == _POP and stack:
+            stack.pop()
+            phase = _STACK_ACTIONS
+        elif c == _PUSH:
+            phase = _STACK_PUSHED
+        elif c == _SEQ:
+            return sets + _forced_sets(w[t + 1:], stack[::-1], _EOS_ONLY)
         else:
-            sets.append(frozenset({EOS}))
-        if t == len(w):
             break
-        c = w[t]
-        if invalid:
-            continue
-        if phase in ("init", "actions"):
-            if c <= 1 and phase == "init":
-                stack.append(c)
-            elif c == _POP and stack:
-                stack.pop()
-                phase = "actions"
-            elif c == _PUSH:
-                phase = "after_push"
-            elif c == _SEQ:
-                expected = stack[::-1]
-                phase = "final"
-            else:
-                invalid = True
-        elif phase == "after_push":
-            if c <= 1:
-                stack.append(c)
-                phase = "actions"
-            else:
-                invalid = True
-        else:
-            if matched < len(expected) and c == expected[matched]:
-                matched += 1
-            else:
-                invalid = True
-    return sets
+        sets.append(phase[bool(stack)])
+    return sets + [_EMPTY] * (len(w) + 1 - len(sets))
 
 
 def _build_stack_manipulation() -> LanguageSpec:
@@ -547,18 +563,11 @@ def _marked_family(
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
         # any symbol up to the marker, then the forced completion of the
-        # left part and EOS, then nothing once a symbol breaks it
+        # left part and EOS
         if marker not in w:
             return [anything] * (len(w) + 1)
         pos = w.index(marker)
-        forced = complete(w[:pos]) + [EOS]
-        tail = w[pos + 1:]
-        sets = [anything] * (pos + 1)
-        for k in range(len(tail) + 1):
-            if k and tail[k - 1] != forced[k - 1]:
-                break
-            sets.append(frozenset({forced[k]}))
-        return sets + [frozenset()] * (len(w) + 1 - len(sets))
+        return [anything] * (pos + 1) + _forced_sets(w[pos + 1:], complete(w[:pos]), _EOS_ONLY)
 
     return LanguageSpec(name, class_label, alphabet, member, sample, next_sets)
 
@@ -594,20 +603,23 @@ def _build_unmarked_reversal() -> LanguageSpec:
         return u + u[::-1]
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
-        out = []
-        for t in range(len(w) + 1):
-            cur = {0, 1}
-            prefix = w[:t]
-            if t % 2 == 0 and prefix == prefix[::-1]:
-                cur.add(EOS)
-            out.append(frozenset(cur))
-        return out
+        # EOS after each even-length palindromic prefix w[:t]: the t that are
+        # borders of w + [2] + reversed(w), down the prefix function's chain
+        sets = [_BITS_EOS] + [_BITS] * len(w)
+        pi = _prefix_function(w + [2] + w[::-1])
+        border = pi[-1]
+        while border:
+            if border % 2 == 0:
+                sets[border] = _BITS_EOS
+            border = pi[border - 1]
+        return sets
 
     return LanguageSpec("unmarked-reversal", "CF", BIT_ALPHABET, member, sample, next_sets)
 
 
 _UND_ALPHABET = Alphabet(["0", "1", "_"])
 _UND = 2
+_UND_ANY = frozenset({0, 1, _UND})
 
 
 def _build_missing_duplicate() -> LanguageSpec:
@@ -631,21 +643,16 @@ def _build_missing_duplicate() -> LanguageSpec:
         return w
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
-        out = []
-        blanks = 0
-        for t in range(len(w) + 1):
-            if blanks == 0:
-                out.append(frozenset({0, 1, _UND}))
-            elif blanks == 1:
-                cur = {0, 1}
-                if member(w[:t]):
-                    cur.add(EOS)
-                out.append(frozenset(cur))
-            else:
-                out.append(frozenset())
-            if t < len(w) and w[t] == _UND:
-                blanks += 1
-        return out
+        # anything up to the blank; after it, EOS at the squares w[:2h] of
+        # w with the blank filled as 1, where the Z-function has z[h] >= h;
+        # nothing past a second blank (blanks past the end change nothing)
+        first, end = ([i for i, s in enumerate(w) if s == _UND] + [len(w)] * 2)[:2]
+        z = _z_function([1 if s == _UND else s for s in w[:end]])
+        sets = [_UND_ANY] * (first + 1) + [_BITS] * (end - first)
+        for h in range(first // 2 + 1, end // 2 + 1):
+            if z[h] >= h:
+                sets[2 * h] = _BITS_EOS
+        return sets + [_EMPTY] * (len(w) - end)
 
     return LanguageSpec("missing-duplicate", "CS", _UND_ALPHABET, member, sample, next_sets)
 
@@ -669,40 +676,23 @@ def _arith_spec(
         *operands, result = map(_decode_le, parts)
         return combine(*operands) == result
 
+    with_sep = tuple(frozenset({0, 1, s}) for s in seps)
+
     def next_sets(w: list[int]) -> list[frozenset[int]]:
-        sets: list[frozenset[int]] = []
-        operands: list[list[int]] = [[]]
-        expected: list[int] | None = None
-        matched = 0
-        invalid = False
-        for t in range(len(w) + 1):
-            if invalid:
-                sets.append(frozenset())
-            elif expected is None:
-                sep = seps[len(operands) - 1]
-                sets.append(frozenset({0, 1, sep}) if operands[-1] else frozenset({0, 1}))
-            elif matched < len(expected):
-                sets.append(frozenset({expected[matched]}))
-            else:
-                sets.append(frozenset({0, EOS}))
-            if t == len(w) or invalid:
-                continue
-            c = w[t]
-            if expected is None:
-                if c <= 1:
-                    operands[-1].append(c)
-                elif c == seps[len(operands) - 1] and operands[-1]:
-                    if len(operands) == len(seps):
-                        expected = _minimal_le(combine(*map(_decode_le, operands)))
-                    else:
-                        operands.append([])
-                else:
-                    invalid = True
-            elif matched < len(expected) and c == expected[matched]:
-                matched += 1
-            elif matched < len(expected) or c != 0:
-                invalid = True
-        return sets
+        # operand bits, each closed by its separator, then the forced result
+        sets = [_BITS]
+        operands, start = [], 0  # the closed operands; where the open one begins
+        for t, c in enumerate(w):
+            if c > 1:
+                if c != seps[len(operands)] or t == start:
+                    break
+                operands.append(_decode_le(w[start:t]))
+                if len(operands) == len(seps):
+                    result = _minimal_le(combine(*operands))
+                    return sets + _forced_sets(w[t + 1:], result, _ZERO_EOS)
+                start = t + 1
+            sets.append(with_sep[len(operands)] if t >= start else _BITS)
+        return sets + [_EMPTY] * (len(w) + 1 - len(sets))
 
     return LanguageSpec(name, "CS", alphabet, member, sampler, next_sets)
 

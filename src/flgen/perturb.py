@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, UsageError
+from .errors import ConfigurationError, GenerationError, UsageError
 
 INSERT = "insert"
 REPLACE = "replace"
@@ -119,8 +119,9 @@ def sample_negative(
     """Draw one string in [n_min, n_max] that the language rejects.
 
     Every attempt re-flips the branch coin; a perturbation whose result is
-    still a member restarts from scratch rather than being edited further.
-    With ``checked``, the string comes back as the ``CheckedWord`` that its
+    still a member restarts from scratch, and one in a range with no member
+    is spent, so negatives need no member in their range.  With
+    ``checked``, the string comes back as the ``CheckedWord`` that its
     membership test used, so its text needs no second id check.
     """
     if n_min < 0 or n_min > n_max:
@@ -134,7 +135,10 @@ def sample_negative(
             plan, source = None, None
         else:
             branch = "perturbation"
-            base = lang.sample_positive(n_min, n_max, rng)
+            try:
+                base = lang.sample_positive(n_min, n_max, rng)
+            except ConfigurationError:  # raised before any draw
+                continue
             word, plan = apply_edits(
                 base, sample_edit_count(rng), n_symbols, n_min, n_max, rng
             )

@@ -3,12 +3,13 @@
 Everything here recomputes expected values from first principles (plain
 dynamic programming, exhaustive enumeration, textbook edit distance, the
 generic semiring closure over length-binned weights, a split writer that
-runs ``json.dumps`` on every record) without touching the production code
-paths under test.
+runs ``json.dumps`` on every record, the procedural next-set walkers as first
+written) without touching the production code paths under test.
 """
 
 import json
 import math
+import operator
 from collections import deque
 from fractions import Fraction
 
@@ -615,3 +616,206 @@ def json_dumps_split_lines(split: DatasetSplit):
                 nexts.append(glyphs)
             record["next"] = nexts
         yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the procedural next-set walkers as flgen.langlib first wrote them: a state
+# machine per family that builds a fresh set at every position, and a
+# missing-duplicate walker that calls the member predicate on each prefix
+
+_POP, _PUSH, _SEQ = 2, 3, 4
+_UND = 2
+_MARKED_COMPLETIONS = {
+    "marked-reversal": lambda u: u[::-1],
+    "marked-copy": lambda u: list(u),
+    "odds-first": lambda u: u[::2] + u[1::2],
+    "bucket-sort": sorted,
+}
+_ARITH_COMBINE = {
+    "binary-addition": operator.add,
+    "binary-multiplication": operator.mul,
+    "compute-sqrt": math.isqrt,
+}
+
+
+def old_next_set_walker(lang):
+    """The old next-set walker of the procedural language ``lang``."""
+    if lang.name == "majority":
+        return _old_majority_next_sets
+    if lang.name == "stack-manipulation":
+        return _old_stack_next_sets
+    if lang.name == "unmarked-reversal":
+        return _old_unmarked_reversal_next_sets
+    if lang.name == "missing-duplicate":
+        return _old_missing_duplicate_walker(lang._contains)
+    if lang.name in _MARKED_COMPLETIONS:
+        return _old_marked_walker(lang.alphabet, _MARKED_COMPLETIONS[lang.name])
+    if lang.name in _ARITH_COMBINE:
+        return _old_arith_walker(lang.alphabet, _ARITH_COMBINE[lang.name])
+    raise ValueError(f"{lang.name} has no procedural walker")
+
+
+def _old_majority_next_sets(w: list[int]) -> list[frozenset[int]]:
+    out = []
+    ones = 0
+    for t in range(len(w) + 1):
+        cur = {0, 1}
+        if ones > t - ones:
+            cur.add(EOS)
+        out.append(frozenset(cur))
+        if t < len(w):
+            ones += w[t]
+    return out
+
+
+def _old_stack_next_sets(w: list[int]) -> list[frozenset[int]]:
+    sets: list[frozenset[int]] = []
+    phase = "init"  # init | actions | after_push | final
+    stack: list[int] = []
+    expected: list[int] = []
+    matched = 0
+    invalid = False
+    for t in range(len(w) + 1):
+        if invalid:
+            sets.append(frozenset())
+        elif phase == "init":
+            cur = {0, 1, _PUSH, _SEQ}
+            if stack:
+                cur.add(_POP)
+            sets.append(frozenset(cur))
+        elif phase == "actions":
+            cur = {_PUSH, _SEQ}
+            if stack:
+                cur.add(_POP)
+            sets.append(frozenset(cur))
+        elif phase == "after_push":
+            sets.append(frozenset({0, 1}))
+        elif matched < len(expected):
+            sets.append(frozenset({expected[matched]}))
+        else:
+            sets.append(frozenset({EOS}))
+        if t == len(w):
+            break
+        c = w[t]
+        if invalid:
+            continue
+        if phase in ("init", "actions"):
+            if c <= 1 and phase == "init":
+                stack.append(c)
+            elif c == _POP and stack:
+                stack.pop()
+                phase = "actions"
+            elif c == _PUSH:
+                phase = "after_push"
+            elif c == _SEQ:
+                expected = stack[::-1]
+                phase = "final"
+            else:
+                invalid = True
+        elif phase == "after_push":
+            if c <= 1:
+                stack.append(c)
+                phase = "actions"
+            else:
+                invalid = True
+        else:
+            if matched < len(expected) and c == expected[matched]:
+                matched += 1
+            else:
+                invalid = True
+    return sets
+
+
+def _old_marked_walker(alphabet: Alphabet, complete):
+    marker = len(alphabet) - 1
+    anything = frozenset(range(len(alphabet)))
+
+    def next_sets(w: list[int]) -> list[frozenset[int]]:
+        # any symbol up to the marker, then the forced completion of the
+        # left part and EOS, then nothing once a symbol breaks it
+        if marker not in w:
+            return [anything] * (len(w) + 1)
+        pos = w.index(marker)
+        forced = complete(w[:pos]) + [EOS]
+        tail = w[pos + 1:]
+        sets = [anything] * (pos + 1)
+        for k in range(len(tail) + 1):
+            if k and tail[k - 1] != forced[k - 1]:
+                break
+            sets.append(frozenset({forced[k]}))
+        return sets + [frozenset()] * (len(w) + 1 - len(sets))
+
+    return next_sets
+
+
+def _old_unmarked_reversal_next_sets(w: list[int]) -> list[frozenset[int]]:
+    out = []
+    for t in range(len(w) + 1):
+        cur = {0, 1}
+        prefix = w[:t]
+        if t % 2 == 0 and prefix == prefix[::-1]:
+            cur.add(EOS)
+        out.append(frozenset(cur))
+    return out
+
+
+def _old_missing_duplicate_walker(member):
+    def next_sets(w: list[int]) -> list[frozenset[int]]:
+        out = []
+        blanks = 0
+        for t in range(len(w) + 1):
+            if blanks == 0:
+                out.append(frozenset({0, 1, _UND}))
+            elif blanks == 1:
+                cur = {0, 1}
+                if member(w[:t]):
+                    cur.add(EOS)
+                out.append(frozenset(cur))
+            else:
+                out.append(frozenset())
+            if t < len(w) and w[t] == _UND:
+                blanks += 1
+        return out
+
+    return next_sets
+
+
+def _old_arith_walker(alphabet: Alphabet, combine):
+    seps = range(2, len(alphabet))
+
+    def next_sets(w: list[int]) -> list[frozenset[int]]:
+        sets: list[frozenset[int]] = []
+        operands: list[list[int]] = [[]]
+        expected: list[int] | None = None
+        matched = 0
+        invalid = False
+        for t in range(len(w) + 1):
+            if invalid:
+                sets.append(frozenset())
+            elif expected is None:
+                sep = seps[len(operands) - 1]
+                sets.append(frozenset({0, 1, sep}) if operands[-1] else frozenset({0, 1}))
+            elif matched < len(expected):
+                sets.append(frozenset({expected[matched]}))
+            else:
+                sets.append(frozenset({0, EOS}))
+            if t == len(w) or invalid:
+                continue
+            c = w[t]
+            if expected is None:
+                if c <= 1:
+                    operands[-1].append(c)
+                elif c == seps[len(operands) - 1] and operands[-1]:
+                    if len(operands) == len(seps):
+                        expected = _minimal_le(combine(*map(_decode_le, operands)))
+                    else:
+                        operands.append([])
+                else:
+                    invalid = True
+            elif matched < len(expected) and c == expected[matched]:
+                matched += 1
+            elif matched < len(expected) or c != 0:
+                invalid = True
+        return sets
+
+    return next_sets

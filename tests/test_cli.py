@@ -182,6 +182,20 @@ def test_generate_infeasible_range_exits_2(tmp_path, capsys):
     assert "no strings in range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("language", ["first", "majority"])
+def test_generate_negatives_where_no_member_fits(tmp_path, capsys, language):
+    """Neither language has a member of length 0, but the empty string is a
+    negative, so an all-negative probe split at 0:0 is feasible."""
+    out = tmp_path / "suite"
+    rc = main(["generate", "--language", language, "--seed", "3", "--out", str(out),
+               *[f"--override={role}=0" for role in
+                 ("train", "val-short", "val-long", "test-short", "test-long")],
+               "--override", "editdist-probe=4:0:0"])
+    assert rc == 0, capsys.readouterr().err
+    split = read_split(out / f"{language}.editdist-probe.jsonl")
+    assert [(ex.text, ex.label) for ex in split.examples] == [("", False)] * 4
+
+
 def test_generate_without_unseen_members_exits_2_naming_the_label(tmp_path, capsys):
     """repeat-01 has 21 members of length at most 40; train, val-short and
     val-long draw them all, so test-short finds no unseen positive."""

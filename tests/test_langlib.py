@@ -13,9 +13,9 @@ from flgen.langlib import (
     get_language,
 )
 from flgen.lcsampler import build_sampler_tables, sample_positive_regular
-from flgen.perturb import sample_negative
+from flgen.perturb import apply_edits, sample_negative
 
-from .oracles import bounded_next_oracle
+from .oracles import bounded_next_oracle, old_next_set_walker
 
 # Hand-checked positive/negative example strings per language.  Each entry
 # was re-verified against the membership definition before freezing.
@@ -323,6 +323,54 @@ def test_next_sets_frozen_examples():
     mdup = get_language("missing-duplicate")
     assert mdup.next_sets([2, 2])[2] == frozenset()
     assert mdup.next_sets([1, 2])[2] == {0, 1, EOS}
+
+
+def _short_words(n_symbols, rng, cap=300):
+    """Every word of length at most 5, or ``cap`` distinct ones at random at
+    a length that has more."""
+    for n in range(6):
+        total = n_symbols ** n
+        picks = range(total) if total <= cap else rng.choice(total, size=cap, replace=False)
+        for index in picks:
+            yield [int(index) // n_symbols ** i % n_symbols for i in range(n)]
+
+
+# words that end where a walker changes state: a second blank, odd-length
+# palindromes, trailing zeros and then a 1 after a sum, a stack suffix that
+# breaks after "="; each maps to the next sets of its last three prefixes
+NEXT_SET_HAND_CASES = {
+    "missing-duplicate": {"1_1_": [{0, 1, EOS}, {0, 1}, set()],
+                          "0_01_0": [{0, 1, EOS}, set(), set()]},
+    "unmarked-reversal": {"010": [{0, 1}, {0, 1}, {0, 1}],
+                          "0110": [{0, 1}, {0, 1}, {0, 1, EOS}]},
+    "binary-addition": {"001+1=10100": [{0, EOS}, {0, EOS}, {0, EOS}],
+                        "001+1=101001": [{0, EOS}, {0, EOS}, set()]},
+    "stack-manipulation": {"01 PUSH1 = 110": [{1}, {0}, {EOS}],
+                           "01 PUSH1 = 1101": [{0}, {EOS}, set()],
+                           "01 PUSH1 = 10": [{1}, {1}, set()]},
+}
+
+
+@pytest.mark.parametrize("name", [n for n in LANGUAGE_NAMES if n not in REGULAR_NAMES])
+def test_next_sets_match_the_old_walkers(name):
+    lang = get_language(name)
+    old = old_next_set_walker(lang)
+    n_syms = len(lang.alphabet)
+    rng = np.random.default_rng(41)
+    words = list(_short_words(n_syms, rng))
+    for n_max, count in ((12, 60), (40, 60), (500, 15)):
+        for _ in range(count):
+            member = lang.sample_positive(0, n_max, rng)
+            edits = int(rng.integers(1, 4))
+            words.append(member)
+            words.append(apply_edits(member, edits, n_syms, 0, n_max, rng)[0])
+            words.append(sample_negative(lang, 0, n_max, rng))
+    for text, last_three in NEXT_SET_HAND_CASES.get(name, {}).items():
+        word = lang.parse(text)
+        assert lang.next_sets(word)[-3:] == last_three, text
+        words.append(word)
+    for word in words:
+        assert lang.next_sets(word) == old(word), word
 
 
 def test_infeasible_ranges():
