@@ -1,13 +1,21 @@
 """Exact edit distance from a string to a regular language: ``edit_distance``
 is Wagner's column DP (Wagner 1974, *Order-n correction for regular
 languages*) with each input symbol's column step folded into one min-plus
-transfer matrix over the DFA states, and each pair of symbols into the
-min-plus product of two of them.  The tables cost O(|Σ|² · |Q|³ + depth ·
-|Q|³) once per DFA and are held, keyed by the DFA, for as long as it lives
-(the shipped DFAs for the life of the process).  A word then costs ⌊|w|/2⌋
-min-plus steps for its even columns and one batched step for its odd ones,
-O(|w| · |Q|²) in all.  The chain-WFA product route after it is the reference
-the tests check it against.
+transfer matrix over the DFA states (Mohri 2003, *Edit-distance of weighted
+automata*, for the min-plus framing), and each block of up to k symbols into
+the min-plus product of their matrices.  Per DFA, k is the largest block size
+whose tables, all levels 1..k together, hold at most ``_TABLE_ENTRIES``
+entries, never less than 2 and never more than ``_MAX_BLOCK``: 11 on the
+two-state DFAs, 8 on even-pairs and 2 on the others.  The tables cost
+O(|Σ|^k · |Q|³ + depth · |Q|³) once per DFA and are held, keyed by the DFA,
+for as long as it lives (the shipped DFAs for the life of the process).  A
+word then costs ⌊|w|/k⌋ sequential min-plus steps for the columns at block
+starts, and batched steps, each gathering at most ``_BATCH_ENTRIES`` table
+entries, for the columns inside the blocks: O(|w| · |Q|²) in all.  The kept
+columns and the walk-back's copy of them raise the peak memory by about
+1.3 KB per symbol on modular-arithmetic (|Q| = 27), against 4.3 KB when the
+odd columns came in one unbatched step.  The chain-WFA product route after
+it is the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -20,9 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import BIG, EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim, hop_distances
+from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim, hop_distances
 from .errors import UsageError
 from .semiring import TROPICAL
+
+#: the most entries the block tables of one DFA hold, all levels together,
+#: unless k = 2 alone goes over it
+_TABLE_ENTRIES = 2**14
+#: the most table entries one batched min-plus step gathers
+_BATCH_ENTRIES = 2**15
+#: the largest block size, which only a one-symbol alphabet reaches
+_MAX_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -36,8 +52,14 @@ class _Tables:
     """What ``edit_distance`` needs of one trim DFA, whatever the word."""
 
     col0: np.ndarray  # the column of the empty prefix
-    transfer: np.ndarray  # [a, p, q]: T_a
-    pairs: list[np.ndarray]  # [a * |Σ| + b][p, q]: T_a ⊗ T_b
+    k: int  # the block size
+    place: np.ndarray  # [i, j]: |Σ|^(j - i) where i <= j, else 0
+    # levels 1..k one after another: the table of symbols a1 … aj, the min-plus
+    # product T_a1 ⊗ … ⊗ T_aj transposed ([q, p]) so that a step reduces over
+    # the last axis, is blocks[offsets[j - 1] + (a1 … aj read in base |Σ|)]
+    blocks: np.ndarray
+    offsets: np.ndarray  # where levels 1..k-1 begin in ``blocks``
+    top: list[np.ndarray]  # level k by code, for the sequential steps
     into: list[list[tuple[int, int]]]  # the arcs into each state, in (source, symbol) order
 
 
@@ -46,26 +68,54 @@ class _Tables:
 _TABLES: weakref.WeakKeyDictionary[PartialDfa, _Tables] = weakref.WeakKeyDictionary()
 
 
+def _block_size(n_syms: int, n_states: int) -> int:
+    """The largest k up to ``_MAX_BLOCK`` whose levels 1..k fit in
+    ``_TABLE_ENTRIES``, and at least 2."""
+    def entries(k: int) -> int:
+        return sum(n_syms**j for j in range(1, k + 1)) * n_states**2
+
+    k = 2
+    while k < _MAX_BLOCK and entries(k + 1) <= _TABLE_ENTRIES:
+        k += 1
+    return k
+
+
 def _build_tables(dfa: PartialDfa) -> _Tables:
     """With hop[p, q] the fewest arcs from p to q, T_a[p, q] = min(1 + hop[p, q],
     min over arcs p -b-> r of [b != a] + hop[r, q]): delete a, or read it along
     any arc (a match or a substitution), then insert along a shortest path.
-    The pair tables are built one (a, b) at a time, one |Q|³ temporary each."""
+    Level j + 1 prepends a symbol to level j, T_a ⊗ P_u for every a and u,
+    in batches of at most ``_BATCH_ENTRIES`` entries."""
     ok, state = check_trim(dfa)
     if not ok:
         raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
+    n_states, n_syms = dfa.n_states, len(dfa.alphabet)
     hop = hop_distances(dfa)
     after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
     # delete the symbol, or read it along any arc as a substitution
     either = np.minimum(hop[:-1], after.min(axis=1)) + 1
     transfer = np.minimum(either[None], after.transpose(1, 0, 2))  # [a, p, q]
-    pairs = [(t_a[:, :, None] + t_b).min(axis=1) for t_a in transfer for t_b in transfer]
-    into: list[list[tuple[int, int]]] = [[] for _ in range(dfa.n_states)]
+    k = _block_size(n_syms, n_states)
+    offsets = np.cumsum([0] + [n_syms**j for j in range(1, k + 1)])
+    blocks = np.empty((offsets[-1], n_states, n_states), dtype=np.int64)
+    blocks[:n_syms] = transfer.transpose(0, 2, 1)
+    rows = max(1, _BATCH_ENTRIES // n_states**3)
+    for lo, hi in zip(offsets, offsets[1:-1]):
+        level = blocks[lo:hi]
+        prepended = blocks[hi:hi + n_syms * len(level)].reshape(n_syms, *level.shape)
+        for t_a, out in zip(transfer, prepended):
+            # (T_a ⊗ P_u)ᵀ[q, p] = min over r of P_uᵀ[q, r] + T_a[p, r]
+            for u in range(0, len(level), rows):
+                np.minimum.reduce(level[u:u + rows, :, None, :] + t_a, axis=3, out=out[u:u + rows])
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
     for p, row in enumerate(dfa.delta.tolist()):
         for b, q in enumerate(row):
             if q >= 0:
                 into[q].append((p, b))
-    return _Tables(hop[dfa.start], transfer, pairs, into)
+    j = np.arange(k)
+    place = np.triu(n_syms ** np.maximum(j - j[:, None], 0))
+    top = list(blocks[offsets[-2]:])
+    return _Tables(hop[dfa.start], k, place, blocks, offsets[:-2], top, into)
 
 
 def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
@@ -80,12 +130,17 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
 
     All of that is one min-plus product per symbol, col_i = col_{i-1} ⊗ T_a
     with a = word[i-1] (see ``_build_tables``), and min-plus products are
-    associative over exact ints.  So the even columns come two symbols per
-    step, col_{2k+2} = col_{2k} ⊗ (T_a ⊗ T_b), from a pair table built once
-    per DFA: one add and one min-reduction over |Q|² entries in C each.  The
-    odd columns then come from the even ones in one batched step.  The
-    columns are kept, and the witness is walked back through them,
-    re-deriving at each step which move the tie rule picks.
+    associative over exact ints.  So the columns at block starts come k
+    symbols per step, col_{(b+1)k} = col_{bk} ⊗ (T_{w[bk]} ⊗ … ⊗ T_{w[bk+k-1]}),
+    from a table built once per DFA: one add and one min-reduction over
+    |Q|² entries in C each.  Every column inside a block then comes straight
+    from its block's start, col_{bk+j} = col_{bk} ⊗ P_{w[bk:bk+j]}, for all
+    blocks and j < k at once, in batches that gather at most
+    ``_BATCH_ENTRIES`` table entries each.  The columns are kept, and the
+    witness is walked back through them: into state q at column i it takes
+    the first arc in (source, symbol) order whose step costs col_i[q], else
+    the deletion if it does, else the insertion from the first source p with
+    col_i[p] + 1 = col_i[q].
 
     Ties, which fix the witness: into each state, a consuming step beats a
     deletion of equal cost; among arcs, the first in (source, symbol) order
@@ -100,43 +155,49 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     if bad is not None:
         raise UsageError(f"symbol id {bad} outside the alphabet")
 
-    n_syms, n_states = len(dfa.alphabet), dfa.n_states
-    ids = np.array(w, dtype=np.intp)
-    firsts, seconds = ids[0::2], ids[1::2]
-    cols = np.empty((len(w) + 1, n_states), dtype=np.int64)
-    cols[0] = tables.col0
-    even = cols[0::2]
+    n_states, k = dfa.n_states, tables.k
+    n_blocks = len(w) // k
+    padded = np.zeros((n_blocks + 1) * k, dtype=np.intp)  # whole blocks
+    padded[: len(w)] = w
+    codes = padded.reshape(-1, k) @ tables.place  # [b, j]: w[bk:bk+j+1] in base |Σ|
+    # cols[b, j]: column bk + j, the padding's columns past the word unused
+    cols = np.empty((n_blocks + 1, k, n_states), dtype=np.int64)
+    cols[0, 0] = tables.col0
+    starts = cols[:, 0]
     reach = np.empty((n_states, n_states), dtype=np.int64)
-    add, least, pairs = np.add, np.minimum.reduce, tables.pairs
-    pair_ids = (firsts[: len(seconds)] * n_syms + seconds).tolist()
-    for prev, pair, col in zip(even[:, :, None], pair_ids, even[1:]):
-        least(add(prev, pairs[pair], out=reach), axis=0, out=col)
-    # col_{2k+1} = col_{2k} ⊗ T_{word[2k]}, all k at once
-    odd = tables.transfer[firsts]
-    odd += even[: len(firsts), :, None]
-    least(odd, axis=1, out=cols[1::2])
+    add, least, top = np.add, np.minimum.reduce, tables.top
+    for prev, block, col in zip(starts, codes[:n_blocks, -1].tolist(), starts[1:]):
+        least(add(top[block], prev, out=reach), axis=1, out=col)
+    ids = codes[:, :-1] + tables.offsets
+    rows = max(1, _BATCH_ENTRIES // ((k - 1) * n_states**2))
+    for b in range(0, n_blocks + 1, rows):
+        inner = tables.blocks[ids[b:b + rows]]  # [b, j, q, p]
+        inner += starts[b:b + rows, None, None]
+        least(inner, axis=3, out=cols[b:b + rows, 1:])
 
     into = tables.into
-    cols = cols.tolist()
+    cols = cols.reshape(-1, n_states)[: len(w) + 1].tolist()
     q = min(dfa.accepting, key=lambda s: (cols[-1][s], s))  # the lowest-id cheapest
     distance = cols[-1][q]
     witness = []
     i = len(w)
     while i or q != dfa.start:
-        cur = cols[i]
-        step, arc, deletion = BIG, None, BIG
+        cur, arcs = cols[i], into[q]
+        c = cur[q]
+        arc = None
         if i:
             prev, a = cols[i - 1], w[i - 1]
-            for p, b in into[q]:
-                if prev[p] + (b != a) < step:
-                    step, arc = prev[p] + (b != a), (p, b)
-            deletion = prev[q] + 1
-        if cur[q] < min(deletion, step):  # inserted, from the first cheapest source
-            arc = min(into[q], key=lambda pb: cur[pb[0]])
+            for p, b in arcs:
+                if prev[p] + (b != a) == c:  # consumed, along the first arc that costs c
+                    arc = p, b
+                    break
+            if arc is None and prev[q] + 1 == c:  # deleted
+                i -= 1
+                continue
+        if arc is None:  # inserted, from the first source one edit cheaper
+            arc = next(pb for pb in arcs if cur[pb[0]] + 1 == c)
         else:
             i -= 1
-            if deletion < step:
-                continue
         q, b = arc
         witness.append(b)
     return EditDistanceResult(distance, tuple(reversed(witness)))

@@ -188,10 +188,8 @@ def _minimal_le(x: int) -> list[int]:
 
 
 def _decode_le(bits: Sequence[int]) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        out |= int(b) << i
-    return out
+    # one linear parse of the bits, most significant first; () decodes as 0
+    return int("".join(map(str, reversed(bits))) or "0", 2)
 
 
 def _range_or_error(name: str, lo: int, hi: int, n_min: int, n_max: int) -> tuple[int, int]:

@@ -5,13 +5,18 @@ lifting, product composition and allsum."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from flgen import editdist
-from flgen.automata import EPSILON, PartialDfa, Wfa, dfa_accepts, wfa_stringsum
+from flgen.automata import EPSILON, Alphabet, PartialDfa, Wfa, dfa_accepts, wfa_stringsum
 from flgen.editdist import (
     EditDistanceResult,
     build_chain_wfa,
@@ -33,6 +38,7 @@ from .oracles import (
 )
 
 LANGS = ["repeat-01", "parity", "even-pairs", "dyck-2-3"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _random_word(rng, n_syms, max_len, min_len=0):
@@ -228,12 +234,75 @@ def test_witness_matches_column_oracle():
 
 
 def test_every_short_word_on_edge_dfas_matches_column_oracle():
-    """Words of every length 0-9, odd and even, so both the pair steps and
-    the batched odd columns meet each edge-case shape."""
+    """Every word of length 0-9 on each edge-case shape, so the batched
+    columns inside a block meet every shape at every offset, and the
+    three-state shapes, whose block size is 9, a full block step too."""
     for dfa in EDGE_DFAS.values():
         for n in range(10):
             for word in itertools.product(range(2), repeat=n):
                 assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
+
+
+def test_block_boundaries_match_column_oracle():
+    """Around the block size k of each DFA: on every shipped DFA, seeded
+    random words at every length 0 to 3k + 1, so a word ends on, just
+    before and just after each of its first three block starts; on each
+    edge-case shape, every word of length <= k + 1; on a one-symbol
+    alphabet, where only the cap on the block size bounds k, every word of
+    length 0 to 3k + 1."""
+    rng = default_rng(3_141)
+    for name in REGULAR_NAMES:
+        dfa = get_language(name).dfa
+        edit_distance(dfa, [])
+        k = editdist._TABLES[dfa].k
+        for n in range(3 * k + 2):
+            for _ in range(3):
+                word = _random_word(rng, len(dfa.alphabet), n, min_len=n)
+                assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), (name, word)
+    for dfa in EDGE_DFAS.values():
+        edit_distance(dfa, [])
+        k = editdist._TABLES[dfa].k
+        for n in range(k + 2):
+            for word in itertools.product(range(2), repeat=n):
+                assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
+    even = PartialDfa(2, Alphabet(["a"]), {(0, 0): 1, (1, 0): 0}, 0, [0])
+    edit_distance(even, [])
+    k = editdist._TABLES[even].k
+    for n in range(3 * k + 2):
+        assert edit_distance(even, [0] * n) == wagner_column_dp(even, [0] * n), n
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_long_word_peak_memory_per_symbol():
+    """One 20,000-symbol modular-arithmetic word raises the peak RSS by at
+    most 2 KB per symbol: the kept columns and the walk-back's copy of them,
+    with no temporary that grows with the word past a bounded batch.  It
+    runs in a child process, after the tables are built, so that neither
+    this process's peak nor the one-off build counts.  The child reads its
+    peak as VmHWM, the high-water mark of its own address space: Linux
+    starts an exec'd child's ``ru_maxrss`` at its parent's size, which
+    would hide the growth whenever this process is the larger."""
+    code = textwrap.dedent("""\
+        from numpy.random import default_rng
+        from flgen.editdist import edit_distance
+        from flgen.langlib import get_language
+
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+        dfa = get_language("modular-arithmetic").dfa
+        word = default_rng(20_000).integers(len(dfa.alphabet), size=20_000).tolist()
+        edit_distance(dfa, word[:100])
+        before = peak_kib()
+        edit_distance(dfa, word)
+        print((peak_kib() - before) * 1024 / len(word))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 2048
 
 
 def test_long_word_matches_column_oracle():

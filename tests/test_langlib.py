@@ -10,6 +10,7 @@ from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import (
     LANGUAGE_NAMES,
     REGULAR_NAMES,
+    _decode_le,
     get_language,
 )
 from flgen.lcsampler import build_sampler_tables, sample_positive_regular
@@ -270,6 +271,26 @@ def test_binary_addition_bulk():
         lengths.add(len(word))
         assert lang.contains(word)
     assert lengths == set(range(5, 41))
+
+
+def test_decode_le_matches_the_bitwise_loop():
+    """The linear decoder agrees with the old one-bit-at-a-time loop on
+    random little-endian operands: empty, all zeros, with trailing zeros
+    (high zero bits) and up to 3,000 bits long."""
+
+    def bitwise(bits):
+        out = 0
+        for i, b in enumerate(bits):
+            out |= int(b) << i
+        return out
+
+    rng = np.random.default_rng(2_024)
+    cases = [[], [0], [1], [0, 0, 0], [1, 0, 0], [0, 1, 0, 0, 0]]
+    for n in [*range(1, 40), 64, 65, 500, 3_000]:
+        bits = rng.integers(2, size=n).tolist()
+        cases += [bits, bits + [0] * int(rng.integers(1, 5)), [0] * n]
+    for bits in cases:
+        assert _decode_le(bits) == bitwise(bits), bits
 
 
 @pytest.mark.parametrize("name", LANGUAGE_NAMES)
