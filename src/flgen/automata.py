@@ -7,6 +7,7 @@ States are dense integers.  Symbols are dense integer ids into an
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,25 +82,25 @@ class Alphabet:
                 raise UsageError(f"cannot tokenize {text!r} at position {i}")
         return out
 
-    def first_bad_id(self, symbols: Sequence[int]) -> int | None:
-        """The first of ``symbols`` that is not an id of this alphabet, or
-        None.  Valid ids cost one subset test, a single pass in C."""
-        if self._valid_ids.issuperset(symbols):
-            return None
-        return next(s for s in symbols if s not in self._valid_ids)
+    def ids(self, symbols: Iterable[int], language: str | None = None) -> list[int]:
+        """``symbols`` as ids of this alphabet: the one id check.  Each passes
+        through ``operator.index``, so a float raises TypeError and numpy ints
+        and bools become ints; then one subset test, a single pass in C,
+        raises UsageError naming the first id outside the alphabet, and the
+        ``language`` whose alphabet it is when given."""
+        out = list(map(operator.index, symbols))
+        if not self._valid_ids.issuperset(out):
+            bad = next(s for s in out if s not in self._valid_ids)
+            whose = f"the {language} alphabet" if language else "alphabet"
+            raise UsageError(f"symbol id {bad} outside {whose} of size {len(self.glyphs)}")
+        return out
 
     def decode(self, symbols: Sequence[int]) -> str:
-        bad = self.first_bad_id(symbols)
-        if bad is not None:
-            raise UsageError(f"symbol id {bad} outside alphabet of size {len(self.glyphs)}")
-        return "".join([self.glyphs[s] for s in symbols])
+        glyphs = self.glyphs
+        return "".join([glyphs[s] for s in self.ids(symbols)])
 
     def render_symbol(self, symbol: int) -> str:
-        if symbol == EOS:
-            return EOS_GLYPH
-        if not 0 <= symbol < len(self.glyphs):
-            raise UsageError(f"symbol id {symbol} outside alphabet of size {len(self.glyphs)}")
-        return self.glyphs[symbol]
+        return EOS_GLYPH if symbol == EOS else self.decode([symbol])
 
 
 class PartialDfa:
@@ -108,6 +109,8 @@ class PartialDfa:
     A missing transition means immediate rejection.  The table is stored
     densely: ``delta[q, a]`` is the target state or -1.  It is read-only
     once built, so tables derived from it and kept per DFA stay valid.
+    ``rows`` is the same table as tuples of Python ints, for walks that
+    index it one symbol at a time.
     """
 
     def __init__(
@@ -140,11 +143,11 @@ class PartialDfa:
         self._accept_mask[list(self.accepting)] = True
         self.delta.flags.writeable = False
         self._accept_mask.flags.writeable = False
+        self.rows = tuple(map(tuple, self.delta.tolist()))
 
     def transitions_from(self, state: int) -> list[tuple[int, int]]:
         """(symbol, target) pairs leaving ``state``, sorted by symbol id."""
-        row = self.delta[state]
-        return [(int(a), int(row[a])) for a in np.nonzero(row >= 0)[0]]
+        return [(a, q) for a, q in enumerate(self.rows[state]) if q >= 0]
 
     def is_accepting(self, state: int) -> bool:
         return bool(self._accept_mask[state])
@@ -152,12 +155,9 @@ class PartialDfa:
 
 def dfa_accepts(dfa: PartialDfa, symbols: Sequence[int]) -> bool:
     """Run the DFA; out-of-alphabet ids raise rather than reject."""
-    n_syms = len(dfa.alphabet)
-    state = dfa.start
-    for s in symbols:
-        if not 0 <= s < n_syms:
-            raise UsageError(f"symbol id {s} outside alphabet of size {n_syms}")
-        state = int(dfa.delta[state, s])
+    rows, state = dfa.rows, dfa.start
+    for s in dfa.alphabet.ids(symbols):
+        state = rows[state][s]
         if state < 0:
             return False
     return dfa.is_accepting(state)
@@ -201,13 +201,19 @@ def check_trim(dfa: PartialDfa) -> tuple[bool, int | None]:
     return False, int(np.nonzero(~live)[0][0])
 
 
+def require_trim(dfa: PartialDfa, purpose: str) -> None:
+    """Raise UsageError, saying that ``purpose`` needs it, unless ``dfa`` is
+    trim; the one check-and-raise."""
+    ok, witness = check_trim(dfa)
+    if not ok:
+        raise UsageError(f"{purpose} needs a trim DFA; state {witness} is not live")
+
+
 def compute_next_sets(dfa: PartialDfa) -> list[frozenset[int]]:
     """Per state, the symbols that can extend some accepted string, plus EOS
     at accepting states.  Requires a trim DFA: there, a transition existing
     is the same as it being completable."""
-    ok, witness = check_trim(dfa)
-    if not ok:
-        raise UsageError(f"next sets need a trim DFA; state {witness} is not live")
+    require_trim(dfa, "next-set computation")
     out = []
     for q in range(dfa.n_states):
         syms = {a for a, _ in dfa.transitions_from(q)}

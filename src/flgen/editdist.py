@@ -11,24 +11,25 @@ O(|Σ|^k · |Q|³ + depth · |Q|³) once per DFA and are held, keyed by the DFA,
 for as long as it lives (the shipped DFAs for the life of the process).  A
 word then costs ⌊|w|/k⌋ sequential min-plus steps for the columns at block
 starts, and batched steps, each gathering at most ``_BATCH_ENTRIES`` table
-entries, for the columns inside the blocks: O(|w| · |Q|²) in all.  The kept
-columns and the walk-back's copy of them raise the peak memory by about
-1.3 KB per symbol on modular-arithmetic (|Q| = 27), against 4.3 KB when the
-odd columns came in one unbatched step.  The chain-WFA product route after
-it is the reference the tests check it against.
+entries, for the columns inside the blocks: O(|w| · |Q|²) in all.  The
+walk-back turns the kept int64 columns into Python ints ``_WALK_COLUMNS`` at
+a time, from the end, as it reaches them, so the peak memory grows by about
+0.3 KB per symbol on modular-arithmetic (|Q| = 27), against 1.3 KB when it
+turned them all at once and 4.3 KB when the odd columns came in one
+unbatched step.  The chain-WFA product route after it is the reference the
+tests check it against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, check_trim, hop_distances
+from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, hop_distances, require_trim
 from .errors import UsageError
 from .semiring import TROPICAL
 
@@ -39,6 +40,8 @@ _TABLE_ENTRIES = 2**14
 _BATCH_ENTRIES = 2**15
 #: the largest block size, which only a one-symbol alphabet reaches
 _MAX_BLOCK = 16
+#: how many kept columns the walk-back turns into Python ints at a time
+_WALK_COLUMNS = 2**10
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,7 @@ def _build_tables(dfa: PartialDfa) -> _Tables:
     any arc (a match or a substitution), then insert along a shortest path.
     Level j + 1 prepends a symbol to level j, T_a ⊗ P_u for every a and u,
     in batches of at most ``_BATCH_ENTRIES`` entries."""
-    ok, state = check_trim(dfa)
-    if not ok:
-        raise UsageError(f"edit distance needs a trim DFA (dead state {state})")
+    require_trim(dfa, "edit distance")
     n_states, n_syms = dfa.n_states, len(dfa.alphabet)
     hop = hop_distances(dfa)
     after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
@@ -108,7 +109,7 @@ def _build_tables(dfa: PartialDfa) -> _Tables:
             for u in range(0, len(level), rows):
                 np.minimum.reduce(level[u:u + rows, :, None, :] + t_a, axis=3, out=out[u:u + rows])
     into: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-    for p, row in enumerate(dfa.delta.tolist()):
+    for p, row in enumerate(dfa.rows):
         for b, q in enumerate(row):
             if q >= 0:
                 into[q].append((p, b))
@@ -150,10 +151,7 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     tables = _TABLES.get(dfa)
     if tables is None:
         tables = _TABLES[dfa] = _build_tables(dfa)
-    w = list(map(operator.index, word))  # exact ints; a float raises TypeError
-    bad = dfa.alphabet.first_bad_id(w)
-    if bad is not None:
-        raise UsageError(f"symbol id {bad} outside the alphabet")
+    w = dfa.alphabet.ids(word)
 
     n_states, k = dfa.n_states, tables.k
     n_blocks = len(w) // k
@@ -175,18 +173,22 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
         inner += starts[b:b + rows, None, None]
         least(inner, axis=3, out=cols[b:b + rows, 1:])
 
-    into = tables.into
-    cols = cols.reshape(-1, n_states)[: len(w) + 1].tolist()
-    q = min(dfa.accepting, key=lambda s: (cols[-1][s], s))  # the lowest-id cheapest
-    distance = cols[-1][q]
-    witness = []
+    into, flat = tables.into, cols.reshape(-1, n_states)
     i = len(w)
+    lo = max(0, i + 1 - _WALK_COLUMNS)
+    part = flat[lo:i + 1].tolist()  # columns lo..i as Python ints
+    q = min(dfa.accepting, key=lambda s: (part[-1][s], s))  # the lowest-id cheapest
+    distance = part[-1][q]
+    witness = []
     while i or q != dfa.start:
-        cur, arcs = cols[i], into[q]
+        if i == lo and i:  # column i - 1 is next: turn the chunk that ends at i
+            lo = max(0, i + 1 - _WALK_COLUMNS)
+            part = flat[lo:i + 1].tolist()
+        cur, arcs = part[i - lo], into[q]
         c = cur[q]
         arc = None
         if i:
-            prev, a = cols[i - 1], w[i - 1]
+            prev, a = part[i - 1 - lo], w[i - 1]
             for p, b in arcs:
                 if prev[p] + (b != a) == c:  # consumed, along the first arc that costs c
                     arc = p, b
@@ -208,12 +210,10 @@ def build_chain_wfa(word, alphabet) -> Wfa:
     substitution and deletion cost 1, and every state carries cost-1
     insertion self-loops; only the final state accepts."""
     n_syms = len(alphabet)
+    word = alphabet.ids(word)
     n = len(word)
     arcs = []
     for i, wi in enumerate(word):
-        wi = int(wi)
-        if not 0 <= wi < n_syms:
-            raise UsageError(f"symbol id {wi} outside the alphabet")
         arcs.append((i, wi, 0.0, i + 1))
         arcs.append((i, EPSILON, 1.0, i + 1))
         for a in range(n_syms):

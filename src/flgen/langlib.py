@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import EOS, Alphabet, PartialDfa, check_trim, compute_next_sets
+from .automata import EOS, Alphabet, PartialDfa, compute_next_sets
 from .errors import ConfigurationError, UsageError
 from .lcsampler import SamplerTables, build_sampler_tables, sample_positive_regular
 
@@ -57,32 +57,16 @@ class LanguageSpec:
         self._tables: SamplerTables | None = None
         self._ranges: dict[tuple[int, int], SamplerTables] = {}
         if dfa is not None:
-            ok, witness = check_trim(dfa)
-            if not ok:
-                raise AssertionError(f"{name}: shipped DFA is not trim at state {witness}")
             self._state_next = compute_next_sets(dfa)
-            # the transition table as Python lists: indexing them is cheaper
-            # per symbol than indexing the numpy array
-            self._rows = dfa.delta.tolist()
             self._next_sets = self._dfa_next_sets
 
-    def _validate(self, symbols: Sequence[int]) -> list[int]:
-        out = list(map(operator.index, symbols))  # exact ints; a float raises
-        bad = self.alphabet.first_bad_id(out)
-        if bad is not None:
-            n = len(self.alphabet)
-            raise UsageError(
-                f"symbol id {bad} outside the {self.name} alphabet of size {n}"
-            )
-        return out
-
     def contains(self, symbols: Sequence[int]) -> bool:
-        return self._contains(self._validate(symbols))
+        return self._contains(self.alphabet.ids(symbols, self.name))
 
     def check(self, symbols: Sequence[int]) -> CheckedWord:
         """``symbols`` with its ids checked once, for a caller that needs
         more than one of membership, next sets and text."""
-        return CheckedWord(self, self._validate(symbols))
+        return CheckedWord(self, self.alphabet.ids(symbols, self.name))
 
     def sample_positive(self, n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
         if n_min < 0 or n_min > n_max:
@@ -92,7 +76,7 @@ class LanguageSpec:
         return self._sample_positive(n_min, n_max, rng)
 
     def next_sets(self, symbols: Sequence[int]) -> list[frozenset[int]]:
-        return self._next_sets(self._validate(symbols))
+        return self._next_sets(self.alphabet.ids(symbols, self.name))
 
     def sampler_tables(self, n_min: int, n_max: int) -> SamplerTables:
         if self.dfa is None:
@@ -106,7 +90,7 @@ class LanguageSpec:
         return self._ranges[key]
 
     def _dfa_next_sets(self, symbols: list[int]) -> list[frozenset[int]]:
-        rows, state_next = self._rows, self._state_next
+        rows, state_next = self.dfa.rows, self._state_next
         state = self.dfa.start
         out = [state_next[state]]
         for s in symbols:
@@ -423,7 +407,7 @@ def _build_majority() -> LanguageSpec:
         n = int(rng.integers(lo, hi + 1))
         ones = int(rng.integers(n // 2 + 1, n + 1))
         word = np.array([0] * (n - ones) + [1] * ones)
-        return [int(b) for b in rng.permutation(word)]
+        return rng.permutation(word).tolist()
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
         # EOS once the ones in the prefix outnumber its zeros
@@ -472,7 +456,7 @@ def _stack_sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]
     push_hi = (n_max - 2 * n_stack - 1) // 3
     _range_or_error("stack-manipulation", push_lo, push_hi, n_min, n_max)
     n_push = int(rng.integers(push_lo, push_hi + 1))
-    stack = [int(b) for b in rng.integers(0, 2, size=n_stack)]
+    stack = rng.integers(0, 2, size=n_stack).tolist()
     word = list(stack)
     pushes = 0
     while True:
@@ -556,7 +540,7 @@ def _marked_family(
         lo, hi = _half_range(n_min, n_max, 1)
         _range_or_error(name, lo, hi, n_min, n_max)
         m = int(rng.integers(lo, hi + 1))
-        u = [int(d) for d in rng.integers(*digits, size=m)]
+        u = rng.integers(*digits, size=m).tolist()
         return u + [marker] + complete(u)
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
@@ -597,7 +581,7 @@ def _build_unmarked_reversal() -> LanguageSpec:
         lo, hi = _half_range(n_min, n_max, 0)
         _range_or_error("unmarked-reversal", lo, hi, n_min, n_max)
         m = int(rng.integers(lo, hi + 1))
-        u = [int(b) for b in rng.integers(0, 2, size=m)]
+        u = rng.integers(0, 2, size=m).tolist()
         return u + u[::-1]
 
     def next_sets(w: list[int]) -> list[frozenset[int]]:
@@ -633,7 +617,7 @@ def _build_missing_duplicate() -> LanguageSpec:
         hi = n_max // 2
         _range_or_error("missing-duplicate", lo, hi, n_min, n_max)
         m = int(rng.integers(lo, hi + 1))
-        u = [int(b) for b in rng.integers(0, 2, size=m)]
+        u = rng.integers(0, 2, size=m).tolist()
         u[int(rng.integers(m))] = 1
         w = u + u
         ones = [i for i, b in enumerate(w) if b == 1]

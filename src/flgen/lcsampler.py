@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .automata import PartialDfa, check_trim
+from .automata import PartialDfa, require_trim
 from .errors import ConfigurationError, UsageError
 
 
@@ -117,9 +117,7 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
     """Preprocess a trim DFA for exact-length sampling over [n_min, n_max]."""
     if n_min < 0 or n_min > n_max:
         raise UsageError(f"bad length range [{n_min}, {n_max}]")
-    ok, witness = check_trim(dfa)
-    if not ok:
-        raise UsageError(f"sampling needs a trim DFA; state {witness} is not live")
+    require_trim(dfa, "sampling")
     pushed = [
         StateTable([sym for sym, _dst in o], [dst for _sym, dst in o], [None])
         for o in map(dfa.transitions_from, range(dfa.n_states))

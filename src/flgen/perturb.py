@@ -131,7 +131,7 @@ def sample_negative(
         if int(rng.integers(2)) == 0:
             branch = "uniform"
             n = int(rng.integers(n_min, n_max + 1))
-            word = [int(s) for s in rng.integers(n_symbols, size=n)]
+            word = rng.integers(n_symbols, size=n).tolist()
             plan, source = None, None
         else:
             branch = "perturbation"

@@ -18,6 +18,13 @@ from flgen.automata import (
     dfa_accepts,
     wfa_stringsum,
 )
+from flgen.editdist import (
+    build_chain_wfa,
+    edit_distance,
+    lift_tropical,
+    shortest_allsum,
+    wfa_intersect,
+)
 from flgen.errors import UsageError
 from flgen.langlib import LANGUAGE_NAMES, get_language
 
@@ -135,6 +142,45 @@ def test_partial_dfa_missing_transition_rejects():
 def test_dfa_accepts_rejects_foreign_symbols():
     with pytest.raises(UsageError):
         dfa_accepts(parity_dfa(), [0, 5])
+
+
+_PARITY = get_language("parity")
+
+
+def _product_route(word):
+    dfa = _PARITY.dfa
+    return shortest_allsum(wfa_intersect(lift_tropical(dfa), build_chain_wfa(word, dfa.alphabet)))
+
+
+#: every entry point that takes symbol ids, each on parity
+_ID_ENTRY_POINTS = {
+    "LanguageSpec.check": lambda w: _PARITY.check(w).ids,
+    "LanguageSpec.contains": _PARITY.contains,
+    "LanguageSpec.next_sets": _PARITY.next_sets,
+    "Alphabet.decode": _PARITY.alphabet.decode,
+    "dfa_accepts": lambda w: dfa_accepts(_PARITY.dfa, w),
+    "edit_distance": lambda w: edit_distance(_PARITY.dfa, w),
+    "build_chain_wfa": _product_route,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ID_ENTRY_POINTS))
+def test_every_entry_point_checks_ids_alike(entry):
+    """Every entry point that takes ids checks them as ``Alphabet.ids``
+    does: a float raises TypeError rather than being truncated or used as
+    an index, an id outside the alphabet raises UsageError, and numpy ints
+    and bools give the answer of the equal ints, down to its repr."""
+    call = _ID_ENTRY_POINTS[entry]
+    for word in ([0, 1.0], [1.7, 0]):
+        with pytest.raises(TypeError):
+            call(word)
+    for bad in (-1, len(_PARITY.alphabet)):
+        with pytest.raises(UsageError):
+            call([1, bad, 0])
+    ints = [1, 0, 1, 1]
+    want = repr(call(ints))
+    assert repr(call([np.int64(s) for s in ints])) == want
+    assert repr(call([bool(s) for s in ints])) == want
 
 
 def test_transitions_from_is_sorted():

@@ -19,7 +19,7 @@ from flgen.dataset import (
 )
 from flgen.automata import EOS, Alphabet
 from flgen.errors import ConfigurationError, GenerationError, IntegrityError, ParseError
-from flgen.langlib import LANGUAGE_NAMES, LanguageSpec, get_language
+from flgen.langlib import LANGUAGE_NAMES, get_language
 from flgen.perturb import sample_negative
 
 from .oracles import json_dumps_split_lines
@@ -170,35 +170,34 @@ def test_ids_are_checked_once_per_example(name, monkeypatch):
     lang = get_language(name)
     split = generate_split(lang, "val-short", 4, annotate=True, count=40, n_max=12)
     assert any(ex.label for ex in split.examples)
-    checks = {"validate": 0, "first_bad_id": 0}
+    checks = 0
+    ids = Alphabet.ids
 
-    def counted(fn, key):
-        def wrapper(*args):
-            checks[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        nonlocal checks
+        checks += 1
+        return ids(*args)
 
-    monkeypatch.setattr(LanguageSpec, "_validate", counted(LanguageSpec._validate, "validate"))
-    monkeypatch.setattr(Alphabet, "first_bad_id", counted(Alphabet.first_bad_id, "first_bad_id"))
+    monkeypatch.setattr(Alphabet, "ids", counted)
     assert validate_split(split) == []
-    assert checks == {"validate": 40, "first_bad_id": 40}
+    assert checks == 40
 
-    checks.update(validate=0, first_bad_id=0)
+    checks = 0
     ex = generate_example(lang, 0, 12, True, np.random.default_rng(9), label=True)
-    assert checks == {"validate": 1, "first_bad_id": 1}
+    assert checks == 1
     assert ex.text == lang.render(ex.symbols)
     assert ex.next_sets == tuple(lang.next_sets(ex.symbols))
 
-    checks.update(validate=0, first_bad_id=0)
+    checks = 0
     attempts = sum(
         sample_negative(lang, 0, 12, np.random.default_rng(seed), return_info=True)[1].attempts
         for seed in range(100)
     )
-    assert checks == {"validate": attempts, "first_bad_id": attempts}
-    checks.update(validate=0, first_bad_id=0)
+    assert checks == attempts
+    checks = 0
     negatives = [generate_example(lang, 0, 12, False, np.random.default_rng(seed), label=False)
                  for seed in range(100)]
-    assert checks == {"validate": attempts, "first_bad_id": attempts}
+    assert checks == attempts
     assert all(ex.text == lang.render(ex.symbols) for ex in negatives)
 
 

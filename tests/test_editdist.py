@@ -275,13 +275,14 @@ def test_block_boundaries_match_column_oracle():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 def test_long_word_peak_memory_per_symbol():
     """One 20,000-symbol modular-arithmetic word raises the peak RSS by at
-    most 2 KB per symbol: the kept columns and the walk-back's copy of them,
-    with no temporary that grows with the word past a bounded batch.  It
-    runs in a child process, after the tables are built, so that neither
-    this process's peak nor the one-off build counts.  The child reads its
-    peak as VmHWM, the high-water mark of its own address space: Linux
-    starts an exec'd child's ``ru_maxrss`` at its parent's size, which
-    would hide the growth whenever this process is the larger."""
+    most 0.75 KB per symbol: the kept int64 columns, with no temporary that
+    grows with the word past a bounded batch, and a Python-int copy of no
+    more than one walk-back chunk of them.  It runs in a child process,
+    after the tables are built, so that neither this process's peak nor the
+    one-off build counts.  The child reads its peak as VmHWM, the
+    high-water mark of its own address space: Linux starts an exec'd
+    child's ``ru_maxrss`` at its parent's size, which would hide the growth
+    whenever this process is the larger."""
     code = textwrap.dedent("""\
         from numpy.random import default_rng
         from flgen.editdist import edit_distance
@@ -302,7 +303,7 @@ def test_long_word_peak_memory_per_symbol():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) <= 2048
+    assert float(proc.stdout) <= 768
 
 
 def test_long_word_matches_column_oracle():
