@@ -110,7 +110,9 @@ class PartialDfa:
     densely: ``delta[q, a]`` is the target state or -1.  It is read-only
     once built, so tables derived from it and kept per DFA stay valid.
     ``rows`` is the same table as tuples of Python ints, for walks that
-    index it one symbol at a time.
+    index it one symbol at a time.  States pass through ``operator.index``
+    and transition symbols through ``Alphabet.ids``, so a float raises
+    TypeError and a bool stands for the equal int.
     """
 
     def __init__(
@@ -123,26 +125,24 @@ class PartialDfa:
     ):
         if n_states <= 0:
             raise UsageError("a DFA needs at least one state")
+        start = operator.index(start)
         if not 0 <= start < n_states:
             raise UsageError(f"start state {start} out of range")
         self.n_states = n_states
         self.alphabet = alphabet
         self.start = start
-        self.accepting = frozenset(accepting)
+        self.accepting = frozenset(map(operator.index, accepting))
         for q in self.accepting:
             if not 0 <= q < n_states:
                 raise UsageError(f"accepting state {q} out of range")
         self.delta = np.full((n_states, len(alphabet)), -1, dtype=np.int32)
         for (src, sym), dst in transitions.items():
+            src, dst = operator.index(src), operator.index(dst)
             if not 0 <= src < n_states or not 0 <= dst < n_states:
                 raise UsageError(f"transition ({src}, {sym}, {dst}) out of range")
-            if not 0 <= sym < len(alphabet):
-                raise UsageError(f"transition symbol {sym} outside the alphabet")
+            [sym] = alphabet.ids([sym])
             self.delta[src, sym] = dst
-        self._accept_mask = np.zeros(n_states, dtype=bool)
-        self._accept_mask[list(self.accepting)] = True
         self.delta.flags.writeable = False
-        self._accept_mask.flags.writeable = False
         self.rows = tuple(map(tuple, self.delta.tolist()))
 
     def transitions_from(self, state: int) -> list[tuple[int, int]]:
@@ -150,7 +150,7 @@ class PartialDfa:
         return [(a, q) for a, q in enumerate(self.rows[state]) if q >= 0]
 
     def is_accepting(self, state: int) -> bool:
-        return bool(self._accept_mask[state])
+        return state in self.accepting
 
 
 def dfa_accepts(dfa: PartialDfa, symbols: Sequence[int]) -> bool:
@@ -195,7 +195,7 @@ def check_trim(dfa: PartialDfa) -> tuple[bool, int | None]:
     """Whether every state is reachable and co-reachable; else a witness state,
     the lowest that is not."""
     hop = hop_distances(dfa)[:-1]
-    live = (hop[dfa.start] < BIG) & (hop[:, dfa._accept_mask] < BIG).any(axis=1)
+    live = (hop[dfa.start] < BIG) & (hop[:, sorted(dfa.accepting)] < BIG).any(axis=1)
     if live.all():
         return True, None
     return False, int(np.nonzero(~live)[0][0])
@@ -261,36 +261,3 @@ class Wfa:
         if len(accept_weights) != n_states:
             raise UsageError("need one accept weight per state")
         self.accept_weights = accept_weights
-
-
-def wfa_stringsum(wfa: Wfa, symbols: Sequence[int]) -> float:
-    """Minimum-cost accepting run on ``symbols`` (tropical weights), with
-    epsilon arcs relaxed to a fixed point between consumed symbols."""
-    by_label: dict[object, list[tuple[int, float, int]]] = {}
-    for src, label, w, dst in wfa.arcs:
-        by_label.setdefault(label, []).append((src, w, dst))
-    eps_arcs = by_label.get(EPSILON, [])
-
-    def relax(cost: np.ndarray) -> None:
-        for _ in range(wfa.n_states):
-            changed = False
-            for src, w, dst in eps_arcs:
-                alt = cost[src] + w
-                if alt < cost[dst]:
-                    cost[dst] = alt
-                    changed = True
-            if not changed:
-                return
-
-    cost = np.full(wfa.n_states, np.inf)
-    cost[wfa.start] = 0.0
-    relax(cost)
-    for s in symbols:
-        nxt = np.full(wfa.n_states, np.inf)
-        for src, w, dst in by_label.get(int(s), []):
-            alt = cost[src] + w
-            if alt < nxt[dst]:
-                nxt[dst] = alt
-        relax(nxt)
-        cost = nxt
-    return float((cost + np.asarray(wfa.accept_weights)).min())

@@ -104,7 +104,6 @@ def generate_split(
     n_min: int | None = None,
     n_max: int | None = None,
     forbidden: set[str] | None = None,
-    dedup_attempts: int = DEFAULT_DEDUP_ATTEMPTS,
 ) -> DatasetSplit:
     if role not in ROLES:
         raise ConfigurationError(
@@ -122,7 +121,7 @@ def generate_split(
         rng = _example_rng(master_seed, role_id, index)
         # a probe is a negative: its fixed label draws no coin
         label: bool | None = False if role == "editdist-probe" else None
-        for _attempt in range(dedup_attempts):
+        for _attempt in range(DEFAULT_DEDUP_ATTEMPTS):
             example = generate_example(lang, n_min, n_max, annotate, rng, label)
             label = example.label
             if forbidden is None or example.text not in forbidden:
@@ -131,7 +130,7 @@ def generate_split(
             kept = "" if label is None else ("positive " if label else "negative ")
             raise GenerationError(
                 f"{lang.name}/{role}: no unseen {kept}example after "
-                f"{dedup_attempts} attempts at index {index}"
+                f"{DEFAULT_DEDUP_ATTEMPTS} attempts at index {index}"
             )
         examples.append(example)
     return DatasetSplit(lang.name, role, n_min, n_max, master_seed, examples)

@@ -17,7 +17,7 @@ a time, from the end, as it reaches them, so the peak memory grows by about
 0.3 KB per symbol on modular-arithmetic (|Q| = 27), against 1.3 KB when it
 turned them all at once and 4.3 KB when the odd columns came in one
 unbatched step.  The chain-WFA product route after it is the reference the
-tests check it against.
+tests check it against; they lift the DFA to the weighted DFA it takes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, hop_distances, require_trim
 from .errors import UsageError
-from .semiring import TROPICAL
 
 #: the most entries the block tables of one DFA hold, all levels together,
 #: unless k = 2 alone goes over it
@@ -225,17 +224,6 @@ def build_chain_wfa(word, alphabet) -> Wfa:
     accept = [math.inf] * (n + 1)
     accept[n] = 0.0
     return Wfa(n + 1, alphabet, arcs, 0, accept)
-
-
-def lift_tropical(dfa: PartialDfa) -> WeightedDfa:
-    """The DFA with every transition and accepting state at cost 0."""
-    transitions = {
-        (q, sym): (dst, 0.0)
-        for q in range(dfa.n_states)
-        for sym, dst in dfa.transitions_from(q)
-    }
-    accept = [0.0 if dfa.is_accepting(q) else math.inf for q in range(dfa.n_states)]
-    return WeightedDfa(dfa.n_states, dfa.alphabet, TROPICAL, transitions, dfa.start, accept)
 
 
 def wfa_intersect(a: WeightedDfa, b: Wfa) -> Wfa:

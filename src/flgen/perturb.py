@@ -4,7 +4,9 @@ Each proposal flips a fair coin between (a) a fully uniform string over the
 alphabet at a uniform length and (b) a positive sample hit with a geometric
 number of random single-symbol edits, then keeps the result only if the
 membership predicate rejects it.  Edits that would leave the length range,
-or replacements over a one-letter alphabet, are never proposed.
+or replacements over a one-letter alphabet, are never proposed.  An edited
+word is returned as its symbols alone, and each negative gets a fixed budget
+of ``DEFAULT_MAX_ATTEMPTS`` proposals.
 """
 
 from __future__ import annotations
@@ -23,30 +25,11 @@ DEFAULT_MAX_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
-class Edit:
-    """One single-symbol edit; ``symbol`` is None only for deletions."""
-
-    kind: str
-    position: int
-    symbol: int | None
-
-
-@dataclass(frozen=True)
-class EditPlan:
-    """The applied edit sequence; ``edit_count`` is the drawn target K."""
-
-    edit_count: int
-    edits: tuple[Edit, ...]
-
-
-@dataclass(frozen=True)
 class NegativeInfo:
     """How an accepted negative was produced."""
 
     branch: str
     attempts: int
-    plan: EditPlan | None
-    source: tuple[int, ...] | None
 
 
 def sample_edit_count(rng: np.random.Generator) -> int:
@@ -72,7 +55,7 @@ def apply_edits(
     n_min: int,
     n_max: int,
     rng: np.random.Generator,
-) -> tuple[list[int], EditPlan]:
+) -> list[int]:
     """Apply ``edit_count`` sequential random edits, each drawn uniformly
     from the kinds that keep the length inside [n_min, n_max]."""
     if not n_min <= len(symbols) <= n_max:
@@ -80,7 +63,6 @@ def apply_edits(
             f"start length {len(symbols)} outside range [{n_min}, {n_max}]"
         )
     word = list(symbols)
-    edits = []
     for _ in range(edit_count):
         kinds = _legal_kinds(len(word), n_symbols, n_min, n_max)
         if not kinds:
@@ -99,11 +81,8 @@ def apply_edits(
                 sym += 1
             word[pos] = sym
         else:
-            pos = int(rng.integers(len(word)))
-            del word[pos]
-            sym = None
-        edits.append(Edit(kind, pos, sym))
-    return word, EditPlan(edit_count, tuple(edits))
+            del word[int(rng.integers(len(word)))]
+    return word
 
 
 def sample_negative(
@@ -112,7 +91,6 @@ def sample_negative(
     n_max: int,
     rng: np.random.Generator,
     *,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     return_info: bool = False,
     checked: bool = False,
 ):
@@ -127,29 +105,27 @@ def sample_negative(
     if n_min < 0 or n_min > n_max:
         raise UsageError(f"bad length range [{n_min}, {n_max}]")
     n_symbols = len(lang.alphabet)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
         if int(rng.integers(2)) == 0:
             branch = "uniform"
             n = int(rng.integers(n_min, n_max + 1))
             word = rng.integers(n_symbols, size=n).tolist()
-            plan, source = None, None
         else:
             branch = "perturbation"
             try:
                 base = lang.sample_positive(n_min, n_max, rng)
             except ConfigurationError:  # raised before any draw
                 continue
-            word, plan = apply_edits(
+            word = apply_edits(
                 base, sample_edit_count(rng), n_symbols, n_min, n_max, rng
             )
-            source = tuple(base)
         candidate = lang.check(word)
         if not candidate.contains():
             kept = candidate if checked else candidate.ids
             if return_info:
-                return kept, NegativeInfo(branch, attempt, plan, source)
+                return kept, NegativeInfo(branch, attempt)
             return kept
     raise GenerationError(
         f"complement too small: no rejected string in [{n_min}, {n_max}] "
-        f"after {max_attempts} attempts"
+        f"after {DEFAULT_MAX_ATTEMPTS} attempts"
     )

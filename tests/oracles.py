@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values from first principles (plain
 dynamic programming, exhaustive enumeration, textbook edit distance, the
-generic semiring closure over length-binned weights, a split writer that
-runs ``json.dumps`` on every record, the procedural next-set walkers as first
-written) without touching the production code paths under test.
+generic semiring closure over length-binned weights, the tropical lift and
+weighted-automaton stringsum of the edit-distance product route, a split
+writer that runs ``json.dumps`` on every record, the procedural next-set
+walkers as first written) without touching the production code paths under
+test.
 """
 
 import json
@@ -15,12 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from flgen.automata import EOS, Alphabet, PartialDfa, WeightedDfa, check_trim
+from flgen.automata import EOS, EPSILON, Alphabet, PartialDfa, WeightedDfa, Wfa, check_trim
 from flgen.dataset import FORMAT_VERSION, DatasetSplit, _render_next_set
 from flgen.editdist import EditDistanceResult
 from flgen.errors import UsageError
 from flgen.langlib import get_language
-from flgen.semiring import LOG, BinningSemiring, Semiring
+from flgen.semiring import LOG, TROPICAL, BinningSemiring, Semiring
 
 BITS = Alphabet(["0", "1"])
 
@@ -110,6 +112,51 @@ def lift_weights(dfa: PartialDfa, n_max: int) -> WeightedDfa:
             rho[0] = p
         accept_weights.append(rho)
     return WeightedDfa(dfa.n_states, dfa.alphabet, sr, transitions, dfa.start, accept_weights)
+
+
+def lift_tropical(dfa: PartialDfa) -> WeightedDfa:
+    """The DFA with every transition and accepting state at cost 0, the
+    weighted side of the edit-distance product route."""
+    transitions = {
+        (q, sym): (dst, 0.0)
+        for q in range(dfa.n_states)
+        for sym, dst in dfa.transitions_from(q)
+    }
+    accept = [0.0 if dfa.is_accepting(q) else math.inf for q in range(dfa.n_states)]
+    return WeightedDfa(dfa.n_states, dfa.alphabet, TROPICAL, transitions, dfa.start, accept)
+
+
+def wfa_stringsum(wfa: Wfa, symbols) -> float:
+    """Minimum-cost accepting run on ``symbols`` (tropical weights), with
+    epsilon arcs relaxed to a fixed point between consumed symbols."""
+    by_label: dict[object, list[tuple[int, float, int]]] = {}
+    for src, label, w, dst in wfa.arcs:
+        by_label.setdefault(label, []).append((src, w, dst))
+    eps_arcs = by_label.get(EPSILON, [])
+
+    def relax(cost: np.ndarray) -> None:
+        for _ in range(wfa.n_states):
+            changed = False
+            for src, w, dst in eps_arcs:
+                alt = cost[src] + w
+                if alt < cost[dst]:
+                    cost[dst] = alt
+                    changed = True
+            if not changed:
+                return
+
+    cost = np.full(wfa.n_states, np.inf)
+    cost[wfa.start] = 0.0
+    relax(cost)
+    for s in symbols:
+        nxt = np.full(wfa.n_states, np.inf)
+        for src, w, dst in by_label.get(int(s), []):
+            alt = cost[src] + w
+            if alt < nxt[dst]:
+                nxt[dst] = alt
+        relax(nxt)
+        cost = nxt
+    return float((cost + np.asarray(wfa.accept_weights)).min())
 
 
 def lehmann(matrix: list[list], semiring: Semiring) -> list[list]:

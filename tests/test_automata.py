@@ -16,17 +16,17 @@ from flgen.automata import (
     check_trim,
     compute_next_sets,
     dfa_accepts,
-    wfa_stringsum,
 )
 from flgen.editdist import (
     build_chain_wfa,
     edit_distance,
-    lift_tropical,
     shortest_allsum,
     wfa_intersect,
 )
 from flgen.errors import UsageError
 from flgen.langlib import LANGUAGE_NAMES, get_language
+
+from .oracles import lift_tropical, wfa_stringsum
 
 BITS = Alphabet(["0", "1"])
 
@@ -194,9 +194,24 @@ def test_dfa_tables_are_read_only():
     dfa = parity_dfa()
     with pytest.raises(ValueError):
         dfa.delta[0, 0] = 1
-    with pytest.raises(ValueError):
-        dfa._accept_mask[0] = True
     assert dfa_accepts(dfa, [1]) and not dfa_accepts(dfa, [1, 1])
+
+
+def test_dfa_constructor_checks_symbols_and_states_as_indices():
+    """Transition symbols go through ``Alphabet.ids`` and states through
+    ``operator.index``: a bool symbol is the equal int rather than a numpy
+    mask over the row, and a float symbol or state raises TypeError."""
+    dfa = PartialDfa(2, BITS, {(0, True): 1}, 0, [1])
+    assert dfa.rows == ((-1, 1), (-1, -1))
+    for transitions, start, accepting in [
+        ({(0, 1.0): 1}, 0, [1]),
+        ({(0.0, 1): 1}, 0, [1]),
+        ({(0, 1): 1.0}, 0, [1]),
+        ({(0, 1): 1}, 0, [1.0]),
+        ({(0, 1): 1}, 0.0, [1]),
+    ]:
+        with pytest.raises(TypeError):
+            PartialDfa(2, BITS, transitions, start, accepting)
 
 
 def test_check_trim_flags_unreachable_state():

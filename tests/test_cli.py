@@ -540,3 +540,17 @@ def test_package_runs_as_module_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("language: parity\n")
+
+
+def test_running_the_cli_never_loads_the_semiring_module():
+    """``flgen.semiring`` serves only the tests and the bench, so importing
+    the command line leaves it unloaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flgen.cli; print('flgen.semiring' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

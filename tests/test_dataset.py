@@ -330,7 +330,7 @@ def test_dedup_retry_and_exhaustion():
     with pytest.raises(GenerationError, match="no unseen negative example"):
         generate_split(
             lang, "test-short", 3, count=5, n_max=2,
-            forbidden=everything, dedup_attempts=10,
+            forbidden=everything,
         )
 
 

@@ -16,12 +16,11 @@ import pytest
 from numpy.random import default_rng
 
 from flgen import editdist
-from flgen.automata import EPSILON, Alphabet, PartialDfa, Wfa, dfa_accepts, wfa_stringsum
+from flgen.automata import EPSILON, Alphabet, PartialDfa, Wfa, dfa_accepts
 from flgen.editdist import (
     EditDistanceResult,
     build_chain_wfa,
     edit_distance,
-    lift_tropical,
     shortest_allsum,
     wfa_intersect,
 )
@@ -34,7 +33,9 @@ from .oracles import (
     batch_min_levenshtein,
     enumerate_members,
     levenshtein,
+    lift_tropical,
     wagner_column_dp,
+    wfa_stringsum,
 )
 
 LANGS = ["repeat-01", "parity", "even-pairs", "dyck-2-3"]
@@ -56,7 +57,7 @@ def _mixed_pool(lang, rng, count, max_len):
         else:
             word = lang.sample_positive(0, max_len, rng)
             if int(rng.integers(2)):
-                word, _ = apply_edits(word, 1, n_syms, 0, max_len, rng)
+                word = apply_edits(word, 1, n_syms, 0, max_len, rng)
             pool.append(list(word))
     return pool
 
@@ -183,7 +184,7 @@ def _probes(lang, rng, count=10, max_len=500):
             probes.append(_random_word(rng, n_syms, hi, min_len=lo))
         else:
             member = lang.sample_positive(lo, hi, rng)
-            word, _ = apply_edits(member, int(rng.integers(1, 4)), n_syms, 0, max_len, rng)
+            word = apply_edits(member, int(rng.integers(1, 4)), n_syms, 0, max_len, rng)
             probes.append(word)
     return probes
 
@@ -415,7 +416,7 @@ def test_single_edit_shifts_distance_by_at_most_one():
         for _ in range(80):
             word = _random_word(rng, n_syms, 10, min_len=1)
             before = edit_distance(lang.dfa, word).distance
-            edited, _ = apply_edits(word, 1, n_syms, 0, 12, rng)
+            edited = apply_edits(word, 1, n_syms, 0, 12, rng)
             after = edit_distance(lang.dfa, edited).distance
             assert abs(before - after) <= 1
 

@@ -384,7 +384,7 @@ def test_next_sets_match_the_old_walkers(name):
             member = lang.sample_positive(0, n_max, rng)
             edits = int(rng.integers(1, 4))
             words.append(member)
-            words.append(apply_edits(member, edits, n_syms, 0, n_max, rng)[0])
+            words.append(apply_edits(member, edits, n_syms, 0, n_max, rng))
             words.append(sample_negative(lang, 0, n_max, rng))
     for text, last_three in NEXT_SET_HAND_CASES.get(name, {}).items():
         word = lang.parse(text)
