@@ -16,10 +16,12 @@ from pathlib import Path
 from .dataset import (
     ROLES,
     DatasetSplit,
+    forbidden_texts,
     generate_split,
     read_lines,
     read_split,
     split_filename,
+    split_settings,
     validate_split,
     write_atomic,
     write_split,
@@ -43,15 +45,13 @@ EXIT_IO = 3
 MAX_REPORTED_VIOLATIONS = 20
 
 
-def _parse_override(text: str) -> tuple[str, int, tuple[int, int] | None]:
-    """ROLE=COUNT or ROLE=COUNT:MIN:MAX as (role, count, (min, max) or None)."""
+def _parse_override(text: str) -> tuple[str, list[int]]:
+    """ROLE=COUNT or ROLE=COUNT:MIN:MAX as (role, [count]) or (role, [count, min, max])."""
     role, sep, rest = text.partition("=")
     parts = rest.split(":") if sep else []
     try:
-        if len(parts) == 1:
-            return role, int(parts[0]), None
-        if len(parts) == 3:
-            return role, int(parts[0]), (int(parts[1]), int(parts[2]))
+        if len(parts) in (1, 3):
+            return role, [int(part) for part in parts]
     except ValueError:
         pass
     raise ConfigurationError(
@@ -61,25 +61,14 @@ def _parse_override(text: str) -> tuple[str, int, tuple[int, int] | None]:
 
 def _split_settings(args: argparse.Namespace) -> dict[str, tuple[int, int, int]]:
     """Every role's (count, n_min, n_max): the defaults in ROLES, then
-    --min-len and --max-len, then each --override in order."""
-    settings = {
-        role: (count,
-               lo if args.min_len is None else args.min_len,
-               hi if args.max_len is None else args.max_len)
-        for role, (_rid, count, lo, hi) in ROLES.items()
-    }
+    --min-len and --max-len, then each --override in order; split_settings
+    fills the defaults and rejects what no generator writes."""
+    given = (None, args.min_len, args.max_len)
+    settings = dict.fromkeys(ROLES, given)
     for text in args.override:
-        role, count, bounds = _parse_override(text)
-        if role not in settings:
-            known = ", ".join(ROLES)
-            raise ConfigurationError(f"unknown split role {role!r}; known: {known}")
-        settings[role] = (count, *(bounds or settings[role][1:]))
-    for role, (count, n_min, n_max) in settings.items():
-        if count < 0:
-            raise ConfigurationError(f"{role}: negative count")
-        if not 0 <= n_min <= n_max:
-            raise ConfigurationError(f"{role}: bad length range [{n_min}, {n_max}]")
-    return settings
+        role, values = _parse_override(text)
+        settings[role] = (*values, *settings.get(role, given)[len(values):])
+    return {role: split_settings(role, args.seed, *asked) for role, asked in settings.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +88,6 @@ def _generate_suite(
         # narrower range is served from the same table
         lang.sampler_tables(0, max(n_max for _count, _lo, n_max in settings.values()))
     splits: dict[str, DatasetSplit] = {}
-    seen: set[str] = set()
     for role, (count, n_min, n_max) in settings.items():
         splits[role] = generate_split(
             lang,
@@ -109,10 +97,8 @@ def _generate_suite(
             count=count,
             n_min=n_min,
             n_max=n_max,
-            forbidden=seen if role == "test-short" else None,
+            forbidden=forbidden_texts(splits, role),
         )
-        if role in ("train", "val-short", "val-long"):
-            seen.update(ex.text for ex in splits[role].examples)
     return splits
 
 
@@ -129,8 +115,6 @@ def _summarize(split: DatasetSplit) -> str:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     lang = get_language(args.language)
-    if args.seed < 0:
-        raise ConfigurationError("seed must be nonnegative")
     settings = _split_settings(args)
     try:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -34,6 +34,9 @@ ROLES: dict[str, tuple[int, int, int, int]] = {
     "editdist-probe": (5, 50, 0, 500),
 }
 
+# role -> the earlier splits whose texts it must not repeat
+DEDUP_AGAINST: dict[str, tuple[str, ...]] = {"test-short": ("train", "val-short", "val-long")}
+
 DEFAULT_DEDUP_ATTEMPTS = 1_000
 
 # required field -> its JSON type; the optional "next" is checked by _parse_next
@@ -62,6 +65,26 @@ class DatasetSplit:
     @property
     def count(self) -> int:
         return len(self.examples)
+
+
+def split_settings(role: str, seed: int, count: int | None = None, n_min: int | None = None,
+                   n_max: int | None = None) -> tuple[int, int, int]:
+    """A split's (count, n_min, n_max), each unset value taken from ROLES.
+    Raises ConfigurationError for what no generator writes: an unknown role,
+    a negative seed or count, or a range that is not 0 <= n_min <= n_max."""
+    if role not in ROLES:
+        raise ConfigurationError(f"unknown role {role!r}; known: {', '.join(ROLES)}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    _role_id, default_count, default_min, default_max = ROLES[role]
+    count = default_count if count is None else count
+    n_min = default_min if n_min is None else n_min
+    n_max = default_max if n_max is None else n_max
+    if count < 0:
+        raise ConfigurationError(f"{role}: negative count {count}")
+    if not 0 <= n_min <= n_max:
+        raise ConfigurationError(f"{role}: bad length range [{n_min}, {n_max}]")
+    return count, n_min, n_max
 
 
 def _example_rng(master_seed: int, role_id: int, index: int) -> np.random.Generator:
@@ -105,17 +128,12 @@ def generate_split(
     n_max: int | None = None,
     forbidden: set[str] | None = None,
 ) -> DatasetSplit:
-    if role not in ROLES:
-        raise ConfigurationError(
-            f"unknown role {role!r}; known: {', '.join(ROLES)}"
-        )
-    if master_seed < 0:
-        raise ConfigurationError("master seed must be non-negative")
-    role_id, default_count, default_min, default_max = ROLES[role]
-    count = default_count if count is None else count
-    n_min = default_min if n_min is None else n_min
-    n_max = default_max if n_max is None else n_max
-
+    """``count`` examples of ``role``; ``split_settings`` fills and checks the
+    settings.  Example i draws from ``SeedSequence([master_seed, role id, i])``,
+    and one whose text is in ``forbidden`` (None or empty: nothing is) is
+    redrawn, with its label, from the rest of that stream."""
+    count, n_min, n_max = split_settings(role, master_seed, count, n_min, n_max)
+    role_id = ROLES[role][0]
     examples: list[LabeledExample] = []
     for index in range(count):
         rng = _example_rng(master_seed, role_id, index)
@@ -142,22 +160,18 @@ def generate_standard_suite(
     *,
     annotate: bool = False,
 ) -> dict[str, DatasetSplit]:
-    """All six splits in their canonical order, with test-short deduplicated
-    against the train and validation texts."""
+    """All six splits at their default settings, in ROLES order."""
     splits: dict[str, DatasetSplit] = {}
-    for role in ("train", "val-short", "val-long"):
-        splits[role] = generate_split(lang, role, master_seed, annotate=annotate)
-    seen = {
-        ex.text
-        for role in ("train", "val-short", "val-long")
-        for ex in splits[role].examples
-    }
-    splits["test-short"] = generate_split(
-        lang, "test-short", master_seed, annotate=annotate, forbidden=seen
-    )
-    for role in ("test-long", "editdist-probe"):
-        splits[role] = generate_split(lang, role, master_seed, annotate=annotate)
+    for role in ROLES:
+        splits[role] = generate_split(lang, role, master_seed, annotate=annotate,
+                                      forbidden=forbidden_texts(splits, role))
     return splits
+
+
+def forbidden_texts(splits: dict[str, DatasetSplit], role: str) -> set[str]:
+    """The texts ``role`` must not repeat: those of the earlier ``splits``
+    that DEDUP_AGAINST names for it, and none for any other role."""
+    return {ex.text for earlier in DEDUP_AGAINST.get(role, ()) for ex in splits[earlier].examples}
 
 
 def split_filename(language: str, role: str) -> str:
@@ -339,8 +353,10 @@ def validate_split(split: DatasetSplit) -> list[str]:
         lang = get_language(split.language)
     except ConfigurationError as exc:
         return [str(exc)]
-    if split.role not in ROLES:
-        violations.append(f"unknown role {split.role!r}")
+    try:
+        split_settings(split.role, split.seed, split.count, split.n_min, split.n_max)
+    except ConfigurationError as exc:
+        violations.append(f"header: {exc}")
     for idx, ex in enumerate(split.examples):
         where = f"example {idx}"
         if not split.n_min <= len(ex.symbols) <= split.n_max:

@@ -11,6 +11,7 @@ import pytest
 
 from flgen.cli import main
 from flgen.dataset import DatasetSplit, LabeledExample, generate_split, read_split, write_split
+from flgen.errors import ConfigurationError
 from flgen.langlib import get_language
 
 from .oracles import levenshtein
@@ -224,6 +225,27 @@ def test_generate_config_errors_exit_2(tmp_path, argv_tail):
     assert main(argv + argv_tail) == 2
 
 
+@pytest.mark.parametrize("seed, override, role, settings", [
+    (7, "test=5", "test", {"count": 5}),
+    (-1, "train=5", "train", {"count": 5}),
+    (7, "train=-5", "train", {"count": -5}),
+    (7, "train=3:9:3", "train", {"count": 3, "n_min": 9, "n_max": 3}),
+])
+def test_generate_prints_the_settings_error_generate_split_raises(
+    tmp_path, capsys, seed, override, role, settings
+):
+    """Each settings rule (unknown role, negative seed, negative count, bad
+    length range) words its error once: the CLI prints what the library
+    raises, before the output directory is made."""
+    with pytest.raises(ConfigurationError) as exc:
+        generate_split(get_language("parity"), role, seed, **settings)
+    out = tmp_path / "x"
+    assert main(["generate", "--language", "parity", "--seed", str(seed),
+                 "--out", str(out), "--override", override]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -290,6 +312,25 @@ def annotated_split(tmp_path_factory):
     write_split(generate_split(lang, "val-short", 3, annotate=True, count=6, n_max=10), path)
     assert main(["validate", str(path)]) == 0
     return path
+
+
+@pytest.mark.parametrize("changes, records, message", [
+    ({"seed": -1, "count": 0}, 0, "seed must be non-negative, got -1"),
+    ({"n_min": -4, "count": 1}, 1, "val-short: bad length range [-4, 10]"),
+    ({"n_min": 7, "n_max": 5, "count": 0}, 0, "val-short: bad length range [7, 5]"),
+])
+def test_validate_rejects_a_header_no_generator_writes(
+    annotated_split, tmp_path, capsys, changes, records, message
+):
+    """A header whose settings generate would refuse is one violation that
+    names the header, so validate exits 1; the records kept are sound."""
+    lines = annotated_split.read_text().splitlines()
+    header = {**json.loads(lines[0]), **changes}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:1 + records]]) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{bad}: header: {message}"]
 
 
 @pytest.mark.parametrize("where, field, value", [

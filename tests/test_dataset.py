@@ -325,6 +325,7 @@ def test_dedup_retry_and_exhaustion():
     )
     assert deduped.examples[0].text not in forbidden
     assert deduped.examples[0] != natural.examples[0]
+    assert generate_split(lang, "test-short", 3, count=5, n_max=6, forbidden=set()) == natural
 
     everything = {"", "0", "1", "00", "01", "10", "11"}
     with pytest.raises(GenerationError, match="no unseen negative example"):
@@ -369,6 +370,18 @@ def test_config_errors():
         generate_split(lang, "test", 0)
     with pytest.raises(ConfigurationError, match="seed"):
         generate_split(lang, "train", -1, count=1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"count": -5}, "train: negative count -5"),
+    ({"n_min": 9, "n_max": 3}, r"train: bad length range \[9, 3\]"),
+])
+def test_generate_split_rejects_settings_no_generator_writes(settings, message):
+    """A negative count or a range that is not 0 <= n_min <= n_max is a
+    configuration error naming the role, not an empty split or a sampler's
+    UsageError."""
+    with pytest.raises(ConfigurationError, match=message):
+        generate_split(get_language("parity"), "train", 0, **settings)
 
 
 def test_role_table():
