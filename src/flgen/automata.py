@@ -209,6 +209,12 @@ def require_trim(dfa: PartialDfa, purpose: str) -> None:
         raise UsageError(f"{purpose} needs a trim DFA; state {witness} is not live")
 
 
+def require_range(n_min: int, n_max: int) -> None:
+    """Raise UsageError unless 0 <= n_min <= n_max: the one library range check."""
+    if not 0 <= n_min <= n_max:
+        raise UsageError(f"bad length range [{n_min}, {n_max}]")
+
+
 def compute_next_sets(dfa: PartialDfa) -> list[frozenset[int]]:
     """Per state, the symbols that can extend some accepted string, plus EOS
     at accepting states.  Requires a trim DFA: there, a transition existing
@@ -221,27 +227,6 @@ def compute_next_sets(dfa: PartialDfa) -> list[frozenset[int]]:
             syms.add(EOS)
         out.append(frozenset(syms))
     return out
-
-
-class WeightedDfa:
-    """Deterministic automaton whose transitions carry (target, weight) pairs
-    and whose states carry accept weights, over an explicit semiring."""
-
-    def __init__(self, n_states, alphabet, semiring, transitions, start, accept_weights):
-        self.n_states = n_states
-        self.alphabet = alphabet
-        self.semiring = semiring
-        self.start = start
-        self.transitions = dict(transitions)
-        for (src, sym), (dst, _w) in self.transitions.items():
-            if not (0 <= src < n_states and 0 <= dst < n_states):
-                raise UsageError(f"transition ({src}, {sym}) -> {dst} out of range")
-            if not 0 <= sym < len(alphabet):
-                raise UsageError(f"transition symbol {sym} outside the alphabet")
-        accept_weights = list(accept_weights)
-        if len(accept_weights) != n_states:
-            raise UsageError("need one accept weight per state")
-        self.accept_weights = accept_weights
 
 
 class Wfa:

@@ -108,13 +108,11 @@ def generate_example(
     if label is None:
         label = bool(rng.integers(2))
     if label:
-        symbols = lang.sample_positive(n_min, n_max, rng)
-        if annotate:
-            word = lang.check(symbols)
-            return LabeledExample(tuple(symbols), word.text(), True, tuple(word.next_sets()))
-        return LabeledExample(tuple(symbols), lang.render(symbols), True)
-    word = sample_negative(lang, n_min, n_max, rng, checked=True)
-    return LabeledExample(tuple(word.ids), word.text(), False)
+        word = lang.check(lang.sample_positive(n_min, n_max, rng))
+    else:
+        word = sample_negative(lang, n_min, n_max, rng, checked=True)
+    next_sets = tuple(word.next_sets()) if annotate and label else None
+    return LabeledExample(tuple(word.ids), word.text(), label, next_sets)
 
 
 def generate_split(
@@ -145,9 +143,9 @@ def generate_split(
             if forbidden is None or example.text not in forbidden:
                 break
         else:
-            kept = "" if label is None else ("positive " if label else "negative ")
+            kind = "positive" if label else "negative"
             raise GenerationError(
-                f"{lang.name}/{role}: no unseen {kept}example after "
+                f"{lang.name}/{role}: no unseen {kind} example after "
                 f"{DEFAULT_DEDUP_ATTEMPTS} attempts at index {index}"
             )
         examples.append(example)
@@ -353,6 +351,8 @@ def validate_split(split: DatasetSplit) -> list[str]:
         lang = get_language(split.language)
     except ConfigurationError as exc:
         return [str(exc)]
+    # generate annotates every positive of a split or none of them
+    annotated = any(ex.next_sets is not None for ex in split.examples)
     try:
         split_settings(split.role, split.seed, split.count, split.n_min, split.n_max)
     except ConfigurationError as exc:
@@ -382,6 +382,8 @@ def validate_split(split: DatasetSplit) -> list[str]:
                 expected = tuple(word.next_sets())
                 if ex.next_sets != expected:
                     violations.append(f"{where}: next sets do not match re-derivation")
+        elif annotated and ex.label:
+            violations.append(f"{where}: positive example has no next sets in an annotated split")
     if split.role == "editdist-probe" and any(ex.label for ex in split.examples):
         violations.append("editdist-probe split contains a positive example")
     return violations

@@ -14,10 +14,9 @@ starts, and batched steps, each gathering at most ``_BATCH_ENTRIES`` table
 entries, for the columns inside the blocks: O(|w| · |Q|²) in all.  The
 walk-back turns the kept int64 columns into Python ints ``_WALK_COLUMNS`` at
 a time, from the end, as it reaches them, so the peak memory grows by about
-0.3 KB per symbol on modular-arithmetic (|Q| = 27), against 1.3 KB when it
-turned them all at once and 4.3 KB when the odd columns came in one
-unbatched step.  The chain-WFA product route after it is the reference the
-tests check it against; they lift the DFA to the weighted DFA it takes.
+0.3 KB per symbol on modular-arithmetic (|Q| = 27).  The chain-WFA product
+route after it is the reference the tests check it against; they lift the
+DFA to the weighted DFA it takes.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import EPSILON, PartialDfa, Wfa, WeightedDfa, hop_distances, require_trim
+from .automata import EPSILON, PartialDfa, Wfa, hop_distances, require_trim
 from .errors import UsageError
 
 #: the most entries the block tables of one DFA hold, all levels together,
@@ -226,8 +225,8 @@ def build_chain_wfa(word, alphabet) -> Wfa:
     return Wfa(n + 1, alphabet, arcs, 0, accept)
 
 
-def wfa_intersect(a: WeightedDfa, b: Wfa) -> Wfa:
-    """Product automaton; epsilon arcs of ``b`` advance only the b side."""
+def wfa_intersect(a, b: Wfa) -> Wfa:
+    """Product of weighted DFA ``a`` and ``b``; epsilon arcs of ``b`` advance only b."""
     if len(a.alphabet) != len(b.alphabet):
         raise UsageError("intersection requires matching alphabets")
     nb = b.n_states

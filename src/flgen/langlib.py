@@ -6,12 +6,13 @@ while membership goes through an independently coded predicate so the two
 routes can be checked against each other.  Non-regular languages implement
 all three operations procedurally, sharing code by family: ``u # f(u)`` for
 marked-reversal, marked-copy, odds-first and bucket-sort, and little-endian
-binary ``x op y = z`` for binary-addition, binary-multiplication and, as its
-one-operand case, compute-sqrt.  Each procedural next-set walker is one
-linear pass over the word that returns prebuilt sets and calls no membership
-predicate, so every family's predicate stays independent of its walker.
-``_forced_sets`` is the one forced-completion routine: the marked and binary
-families and stack-manipulation all end in a suffix that the prefix fixes.
+binary ``x op y = z`` for binary-addition, binary-multiplication (which
+share one sampler) and, as its one-operand case, compute-sqrt.  Each
+procedural next-set walker is one linear pass over the word that returns
+prebuilt sets and calls no membership predicate, so every family's
+predicate stays independent of its walker.  ``_forced_sets`` is the one
+forced-completion routine: the marked and binary families and
+stack-manipulation all end in a suffix that the prefix fixes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import EOS, Alphabet, PartialDfa, compute_next_sets
+from .automata import EOS, Alphabet, PartialDfa, compute_next_sets, require_range
 from .errors import ConfigurationError, UsageError
 from .lcsampler import SamplerTables, build_sampler_tables, sample_positive_regular
 
@@ -69,8 +70,7 @@ class LanguageSpec:
         return CheckedWord(self, self.alphabet.ids(symbols, self.name))
 
     def sample_positive(self, n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        if n_min < 0 or n_min > n_max:
-            raise UsageError(f"bad length range [{n_min}, {n_max}]")
+        require_range(n_min, n_max)
         if self.dfa is not None:
             return sample_positive_regular(self.sampler_tables(n_min, n_max), rng)
         return self._sample_positive(n_min, n_max, rng)
@@ -176,12 +176,14 @@ def _decode_le(bits: Sequence[int]) -> int:
     return int("".join(map(str, reversed(bits))) or "0", 2)
 
 
-def _range_or_error(name: str, lo: int, hi: int, n_min: int, n_max: int) -> tuple[int, int]:
+def _draw_count(rng: np.random.Generator, name: str, lo: int, hi: int,
+                n_min: int, n_max: int) -> int:
+    """A uniform count in [lo, hi], or ConfigurationError before any draw."""
     if lo > hi:
         raise ConfigurationError(
             f"{name}: sampler cannot realize a length in [{n_min}, {n_max}]"
         )
-    return lo, hi
+    return int(rng.integers(lo, hi + 1))
 
 
 def _half_range(n_min: int, n_max: int, extra: int) -> tuple[int, int]:
@@ -403,8 +405,7 @@ def _build_majority() -> LanguageSpec:
         return ones > len(w) - ones
 
     def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        lo, hi = _range_or_error("majority", max(n_min, 1), n_max, n_min, n_max)
-        n = int(rng.integers(lo, hi + 1))
+        n = _draw_count(rng, "majority", max(n_min, 1), n_max, n_min, n_max)
         ones = int(rng.integers(n // 2 + 1, n + 1))
         word = np.array([0] * (n - ones) + [1] * ones)
         return rng.permutation(word).tolist()
@@ -449,13 +450,9 @@ def _stack_member(w: list[int]) -> bool:
 
 
 def _stack_sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-    lo, hi = _half_range(n_min, n_max, 1)
-    _range_or_error("stack-manipulation", lo, hi, n_min, n_max)
-    n_stack = int(rng.integers(lo, hi + 1))
-    push_lo = (max(0, n_min - 2 * n_stack - 1) + 2) // 3
-    push_hi = (n_max - 2 * n_stack - 1) // 3
-    _range_or_error("stack-manipulation", push_lo, push_hi, n_min, n_max)
-    n_push = int(rng.integers(push_lo, push_hi + 1))
+    # the length is 2 * n_stack + 3 * n_push + 1, and n_stack alone reaches n_min
+    n_stack = _draw_count(rng, "stack-manipulation", *_half_range(n_min, n_max, 1), n_min, n_max)
+    n_push = int(rng.integers(0, (n_max - 2 * n_stack - 1) // 3 + 1))
     stack = rng.integers(0, 2, size=n_stack).tolist()
     word = list(stack)
     pushes = 0
@@ -537,9 +534,7 @@ def _marked_family(
         return w[pos + 1:] == complete(w[:pos])
 
     def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        lo, hi = _half_range(n_min, n_max, 1)
-        _range_or_error(name, lo, hi, n_min, n_max)
-        m = int(rng.integers(lo, hi + 1))
+        m = _draw_count(rng, name, *_half_range(n_min, n_max, 1), n_min, n_max)
         u = rng.integers(*digits, size=m).tolist()
         return u + [marker] + complete(u)
 
@@ -578,9 +573,7 @@ def _build_unmarked_reversal() -> LanguageSpec:
         return len(w) % 2 == 0 and w == w[::-1]
 
     def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        lo, hi = _half_range(n_min, n_max, 0)
-        _range_or_error("unmarked-reversal", lo, hi, n_min, n_max)
-        m = int(rng.integers(lo, hi + 1))
+        m = _draw_count(rng, "unmarked-reversal", *_half_range(n_min, n_max, 0), n_min, n_max)
         u = rng.integers(0, 2, size=m).tolist()
         return u + u[::-1]
 
@@ -613,10 +606,8 @@ def _build_missing_duplicate() -> LanguageSpec:
         return filled[:half] == filled[half:]
 
     def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-        lo = max(1, (n_min + 1) // 2)
-        hi = n_max // 2
-        _range_or_error("missing-duplicate", lo, hi, n_min, n_max)
-        m = int(rng.integers(lo, hi + 1))
+        lo, hi = max(1, (n_min + 1) // 2), n_max // 2
+        m = _draw_count(rng, "missing-duplicate", lo, hi, n_min, n_max)
         u = rng.integers(0, 2, size=m).tolist()
         u[int(rng.integers(m))] = 1
         w = u + u
@@ -684,40 +675,28 @@ _MUL_ALPHABET = Alphabet(["0", "1", "×", "="])
 _SQRT_ALPHABET = Alphabet(["0", "1", "="])
 
 
-def _addition_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-    lo, hi = _range_or_error("binary-addition", max(5, n_min), n_max, n_min, n_max)
-    n = int(rng.integers(lo, hi + 1))
-    parts = _dirichlet_parts(rng, (1.0, 1.0, 1.0), n - 5)
-    n_x, n_y, n_z = (p + 1 for p in parts)
-    n_x, n_y = min(n_x, n_y), max(n_x, n_y)
-    x = _uniform_int(rng, min(2 ** n_x - 1, 2 ** n_z - 1))
-    y = _uniform_int(rng, min(2 ** n_y - 1, 2 ** n_z - 1 - x))
-    u_x, u_y = _encode_le(x, n_x), _encode_le(y, n_y)
-    if int(rng.integers(2)):
-        u_x, u_y = u_y, u_x
-    return u_x + [2] + u_y + [3] + _encode_le(x + y, n_z)
+def _binary_op(name: str, alphabet: Alphabet, combine: Callable[[int, int], int],
+               alphas: tuple[float, ...], room: Callable[[int, int], float]) -> LanguageSpec:
+    """Binary ``x op y = z``: the sampler caps y by ``room(x, top)``, the largest
+    y with ``combine(x, y) <= top = 2**n_z - 1``, and x by ``room(0, top)``."""
 
+    def sample(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
+        n = _draw_count(rng, name, max(5, n_min), n_max, n_min, n_max)
+        n_x, n_y, n_z = (p + 1 for p in _dirichlet_parts(rng, alphas, n - 5))
+        n_x, n_y = min(n_x, n_y), max(n_x, n_y)
+        top = 2 ** n_z - 1
+        x = _uniform_int(rng, min(2 ** n_x - 1, room(0, top)))
+        y = _uniform_int(rng, min(2 ** n_y - 1, room(x, top)))
+        u_x, u_y = _encode_le(x, n_x), _encode_le(y, n_y)
+        if int(rng.integers(2)):
+            u_x, u_y = u_y, u_x
+        return u_x + [2] + u_y + [3] + _encode_le(combine(x, y), n_z)
 
-def _multiplication_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-    lo, hi = _range_or_error("binary-multiplication", max(5, n_min), n_max, n_min, n_max)
-    n = int(rng.integers(lo, hi + 1))
-    parts = _dirichlet_parts(rng, (1.0, 1.0, 2.0), n - 5)
-    n_x, n_y, n_z = (p + 1 for p in parts)
-    n_x, n_y = min(n_x, n_y), max(n_x, n_y)
-    x = _uniform_int(rng, 2 ** n_x - 1)
-    if x > 0:
-        y = _uniform_int(rng, min(2 ** n_y - 1, (2 ** n_z - 1) // x))
-    else:
-        y = _uniform_int(rng, 2 ** n_y - 1)
-    u_x, u_y = _encode_le(x, n_x), _encode_le(y, n_y)
-    if int(rng.integers(2)):
-        u_x, u_y = u_y, u_x
-    return u_x + [2] + u_y + [3] + _encode_le(x * y, n_z)
+    return _arith_spec(name, alphabet, combine, sample)
 
 
 def _sqrt_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-    lo, hi = _range_or_error("compute-sqrt", max(3, n_min), n_max, n_min, n_max)
-    n = int(rng.integers(lo, hi + 1))
+    n = _draw_count(rng, "compute-sqrt", max(3, n_min), n_max, n_min, n_max)
     parts = _dirichlet_parts(rng, (2.0, 1.0), n - 3)
     n_x, n_z = parts[0] + 1, parts[1] + 1
     x = _uniform_int(rng, min(2 ** n_x - 1, 2 ** (2 * n_z) - 1))
@@ -725,13 +704,13 @@ def _sqrt_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]
 
 
 def _build_binary_addition() -> LanguageSpec:
-    return _arith_spec("binary-addition", _ADD_ALPHABET, operator.add, _addition_sampler)
+    return _binary_op("binary-addition", _ADD_ALPHABET, operator.add, (1.0, 1.0, 1.0),
+                      lambda x, top: top - x)
 
 
 def _build_binary_multiplication() -> LanguageSpec:
-    return _arith_spec(
-        "binary-multiplication", _MUL_ALPHABET, operator.mul, _multiplication_sampler
-    )
+    return _binary_op("binary-multiplication", _MUL_ALPHABET, operator.mul, (1.0, 1.0, 2.0),
+                      lambda x, top: top // x if x else math.inf)
 
 
 def _build_compute_sqrt() -> LanguageSpec:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .automata import PartialDfa, require_trim
+from .automata import PartialDfa, require_range, require_trim
 from .errors import ConfigurationError, UsageError
 
 
@@ -51,10 +51,6 @@ class SamplerTables:
     pushed: list[StateTable]
     allsum_z: tuple[float, ...]
     valid_lengths: tuple[int, ...]
-    _valid_set: frozenset[int] = field(init=False)
-
-    def __post_init__(self):
-        self._valid_set = frozenset(self.valid_lengths)
 
     def restrict(self, n_min: int, n_max: int) -> SamplerTables:
         """The same tables serving [n_min, n_max].  Bin i of beta reads only
@@ -104,8 +100,7 @@ def _row(weights: list[int], targets: list[int]) -> tuple[float, ...] | None:
 
 def valid_lengths(allsum_z: tuple[float, ...], n_min: int, n_max: int) -> tuple[int, ...]:
     """Lengths in [n_min, n_max] whose total probability mass is nonzero."""
-    if n_min < 0 or n_min > n_max:
-        raise UsageError(f"bad length range [{n_min}, {n_max}]")
+    require_range(n_min, n_max)
     if n_max >= len(allsum_z):
         raise UsageError(
             f"n_max {n_max} exceeds the preprocessed bound {len(allsum_z) - 1}"
@@ -115,8 +110,7 @@ def valid_lengths(allsum_z: tuple[float, ...], n_min: int, n_max: int) -> tuple[
 
 def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTables:
     """Preprocess a trim DFA for exact-length sampling over [n_min, n_max]."""
-    if n_min < 0 or n_min > n_max:
-        raise UsageError(f"bad length range [{n_min}, {n_max}]")
+    require_range(n_min, n_max)
     require_trim(dfa, "sampling")
     pushed = [
         StateTable([sym for sym, _dst in o], [dst for _sym, dst in o], [None])
@@ -148,7 +142,7 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
 
 def sample_string(tables: SamplerTables, n: int, rng: np.random.Generator) -> list[int]:
     """Draw one accepted string of exact length ``n``."""
-    if n not in tables._valid_set:
+    if not (tables.n_min <= n <= tables.n_max and tables.allsum_z[n] > -math.inf):
         raise UsageError(f"length {n} is not a valid length for this table")
     pushed = tables.pushed
     q = tables.dfa.start

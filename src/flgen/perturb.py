@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .automata import require_range
 from .errors import ConfigurationError, GenerationError, UsageError
 
 INSERT = "insert"
@@ -98,13 +99,14 @@ def sample_negative(
 
     Every attempt re-flips the branch coin; a perturbation whose result is
     still a member restarts from scratch, and one in a range with no member
-    is spent, so negatives need no member in their range.  With
+    or no edit ([0, 0]) is spent, so negatives need no member there.  With
     ``checked``, the string comes back as the ``CheckedWord`` that its
     membership test used, so its text needs no second id check.
     """
-    if n_min < 0 or n_min > n_max:
-        raise UsageError(f"bad length range [{n_min}, {n_max}]")
+    require_range(n_min, n_max)
     n_symbols = len(lang.alphabet)
+    # a wider range always allows an edit, a one-length range only a replacement
+    stuck = n_min == n_max and not _legal_kinds(n_max, n_symbols, n_min, n_max)
     for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
         if int(rng.integers(2)) == 0:
             branch = "uniform"
@@ -115,6 +117,8 @@ def sample_negative(
             try:
                 base = lang.sample_positive(n_min, n_max, rng)
             except ConfigurationError:  # raised before any draw
+                continue
+            if stuck:
                 continue
             word = apply_edits(
                 base, sample_edit_count(rng), n_symbols, n_min, n_max, rng

@@ -3,10 +3,11 @@
 Everything here recomputes expected values from first principles (plain
 dynamic programming, exhaustive enumeration, textbook edit distance, the
 generic semiring closure over length-binned weights, the tropical lift and
-weighted-automaton stringsum of the edit-distance product route, a split
-writer that runs ``json.dumps`` on every record, the procedural next-set
-walkers as first written) without touching the production code paths under
-test.
+weighted-automaton stringsum of the edit-distance product route and the
+weighted DFA they build on, a split writer that runs ``json.dumps`` on
+every record, the procedural next-set walkers as first written, and the
+binary-addition and binary-multiplication samplers as first written)
+without touching the production code paths under test.
 """
 
 import json
@@ -17,11 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from flgen.automata import EOS, EPSILON, Alphabet, PartialDfa, WeightedDfa, Wfa, check_trim
+from flgen.automata import EOS, EPSILON, Alphabet, PartialDfa, Wfa, check_trim
 from flgen.dataset import FORMAT_VERSION, DatasetSplit, _render_next_set
 from flgen.editdist import EditDistanceResult
-from flgen.errors import UsageError
-from flgen.langlib import get_language
+from flgen.errors import ConfigurationError, UsageError
+from flgen.langlib import _dirichlet_parts, _encode_le, _uniform_int, get_language
 from flgen.semiring import LOG, TROPICAL, BinningSemiring, Semiring
 
 BITS = Alphabet(["0", "1"])
@@ -85,6 +86,27 @@ def uniform_policy_beta_exact(dfa: PartialDfa, n_top: int) -> list[list[Fraction
                               Fraction(0))
             )
     return beta
+
+
+class WeightedDfa:
+    """Deterministic automaton whose transitions carry (target, weight) pairs
+    and whose states carry accept weights, over an explicit semiring."""
+
+    def __init__(self, n_states, alphabet, semiring, transitions, start, accept_weights):
+        self.n_states = n_states
+        self.alphabet = alphabet
+        self.semiring = semiring
+        self.start = start
+        self.transitions = dict(transitions)
+        for (src, sym), (dst, _w) in self.transitions.items():
+            if not (0 <= src < n_states and 0 <= dst < n_states):
+                raise UsageError(f"transition ({src}, {sym}) -> {dst} out of range")
+            if not 0 <= sym < len(alphabet):
+                raise UsageError(f"transition symbol {sym} outside the alphabet")
+        accept_weights = list(accept_weights)
+        if len(accept_weights) != n_states:
+            raise UsageError("need one accept weight per state")
+        self.accept_weights = accept_weights
 
 
 def lift_weights(dfa: PartialDfa, n_max: int) -> WeightedDfa:
@@ -866,3 +888,53 @@ def _old_arith_walker(alphabet: Alphabet, combine):
         return sets
 
     return next_sets
+
+
+# ---------------------------------------------------------------------------
+# binary-addition's and binary-multiplication's samplers as flgen.langlib
+# wrote them before they shared one sampler, with the range check they called
+
+
+def _range_or_error(name: str, lo: int, hi: int, n_min: int, n_max: int) -> tuple[int, int]:
+    if lo > hi:
+        raise ConfigurationError(
+            f"{name}: sampler cannot realize a length in [{n_min}, {n_max}]"
+        )
+    return lo, hi
+
+
+def _addition_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
+    lo, hi = _range_or_error("binary-addition", max(5, n_min), n_max, n_min, n_max)
+    n = int(rng.integers(lo, hi + 1))
+    parts = _dirichlet_parts(rng, (1.0, 1.0, 1.0), n - 5)
+    n_x, n_y, n_z = (p + 1 for p in parts)
+    n_x, n_y = min(n_x, n_y), max(n_x, n_y)
+    x = _uniform_int(rng, min(2 ** n_x - 1, 2 ** n_z - 1))
+    y = _uniform_int(rng, min(2 ** n_y - 1, 2 ** n_z - 1 - x))
+    u_x, u_y = _encode_le(x, n_x), _encode_le(y, n_y)
+    if int(rng.integers(2)):
+        u_x, u_y = u_y, u_x
+    return u_x + [2] + u_y + [3] + _encode_le(x + y, n_z)
+
+
+def _multiplication_sampler(n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
+    lo, hi = _range_or_error("binary-multiplication", max(5, n_min), n_max, n_min, n_max)
+    n = int(rng.integers(lo, hi + 1))
+    parts = _dirichlet_parts(rng, (1.0, 1.0, 2.0), n - 5)
+    n_x, n_y, n_z = (p + 1 for p in parts)
+    n_x, n_y = min(n_x, n_y), max(n_x, n_y)
+    x = _uniform_int(rng, 2 ** n_x - 1)
+    if x > 0:
+        y = _uniform_int(rng, min(2 ** n_y - 1, (2 ** n_z - 1) // x))
+    else:
+        y = _uniform_int(rng, 2 ** n_y - 1)
+    u_x, u_y = _encode_le(x, n_x), _encode_le(y, n_y)
+    if int(rng.integers(2)):
+        u_x, u_y = u_y, u_x
+    return u_x + [2] + u_y + [3] + _encode_le(x * y, n_z)
+
+
+OLD_BINARY_SAMPLERS = {
+    "binary-addition": _addition_sampler,
+    "binary-multiplication": _multiplication_sampler,
+}

@@ -197,6 +197,19 @@ def test_generate_negatives_where_no_member_fits(tmp_path, capsys, language):
     assert [(ex.text, ex.label) for ex in split.examples] == [("", False)] * 4
 
 
+def test_generate_where_every_word_is_a_member_exits_2(tmp_path, capsys):
+    """dyck-2-3's one word of length 0 is a member and no edit keeps a word
+    at length 0, so a probe split at 0:0 has no negative to draw."""
+    out = tmp_path / "suite"
+    rc = main(["generate", "--language", "dyck-2-3", "--seed", "3", "--out", str(out),
+               *[f"--override={role}=0" for role in
+                 ("train", "val-short", "val-long", "test-short", "test-long")],
+               "--override", "editdist-probe=1:0:0"])
+    assert rc == 2
+    assert "error: complement too small: no rejected string in [0, 0]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_generate_without_unseen_members_exits_2_naming_the_label(tmp_path, capsys):
     """repeat-01 has 21 members of length at most 40; train, val-short and
     val-long draw them all, so test-short finds no unseen positive."""
@@ -263,6 +276,23 @@ def test_validate_flags_flipped_label(tmp_path, capsys):
     _tamper_label(out / "parity.val-short.jsonl", 4, bad)
     assert main(["validate", str(bad)]) == 1
     assert "label" in capsys.readouterr().out
+
+
+def test_validate_flags_a_positive_without_next_in_an_annotated_split(tmp_path, capsys):
+    """generate annotates every positive of a split or none of them, so one
+    positive without next is a violation that names its example."""
+    path = _generate(tmp_path, extra=["--annotate"]) / "parity.train.jsonl"
+    lines = path.read_text().splitlines()
+    line_no = next(n for n, line in enumerate(lines, 1) if '"next"' in line)
+    record = json.loads(lines[line_no - 1])
+    del record["next"]
+    lines[line_no - 1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[:1] == [
+        f"{path}: example {line_no - 2}: positive example has no next sets in an annotated split"
+    ]
 
 
 def test_validate_flags_truncated_file(tmp_path, capsys):

@@ -16,7 +16,7 @@ from flgen.langlib import (
 from flgen.lcsampler import build_sampler_tables, sample_positive_regular
 from flgen.perturb import apply_edits, sample_negative
 
-from .oracles import bounded_next_oracle, old_next_set_walker
+from .oracles import OLD_BINARY_SAMPLERS, bounded_next_oracle, old_next_set_walker
 
 # Hand-checked positive/negative example strings per language.  Each entry
 # was re-verified against the membership definition before freezing.
@@ -271,6 +271,39 @@ def test_binary_addition_bulk():
         lengths.add(len(word))
         assert lang.contains(word)
     assert lengths == set(range(5, 41))
+
+
+@pytest.mark.parametrize("name", sorted(OLD_BINARY_SAMPLERS))
+@pytest.mark.parametrize("n_min, n_max", [(5, 5), (5, 6), (0, 40), (0, 500)])
+def test_shared_binary_sampler_matches_the_old_samplers(name, n_min, n_max):
+    """binary-addition and binary-multiplication share one sampler; it
+    returns what each one's own sampler did, draw for draw, and leaves the
+    stream where that sampler left it."""
+    lang, old = get_language(name), OLD_BINARY_SAMPLERS[name]
+    for seed in range(4):
+        rng, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            assert lang.sample_positive(n_min, n_max, rng) == old(n_min, n_max, rng_old)
+            assert rng.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("name", [n for n in LANGUAGE_NAMES if n not in REGULAR_NAMES])
+def test_procedural_samplers_raise_before_any_draw_or_return_members_in_range(name):
+    """perturb's contract with a procedural sampler: on every range it
+    either raises ConfigurationError with the stream untouched, so the
+    attempt is spent, or returns members whose lengths lie in the range."""
+    lang = get_language(name)
+    rng = np.random.default_rng(37)
+    for n_min in range(25):
+        for n_max in range(n_min, 25):
+            state = rng.bit_generator.state
+            try:
+                words = [lang.sample_positive(n_min, n_max, rng) for _ in range(3)]
+            except ConfigurationError:
+                assert rng.bit_generator.state == state, (n_min, n_max)
+                continue
+            for word in words:
+                assert n_min <= len(word) <= n_max and lang.contains(word), (n_min, n_max)
 
 
 def test_decode_le_matches_the_bitwise_loop():

@@ -227,6 +227,12 @@ def test_sample_string_rejects_invalid_length():
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError, match="not a valid length"):
         sample_string(tables, 3, rng)
+    # every length of [0, 500] but 0 is a parity length, so only the
+    # restricted range rules out 41, and -1 must not index from the end
+    restricted = build_sampler_tables(parity_dfa(), 0, 500).restrict(0, 40)
+    for n in (-1, 41):
+        with pytest.raises(UsageError, match="not a valid length"):
+            sample_string(restricted, n, rng)
 
 
 def test_sample_positive_empty_range_is_configuration_error():

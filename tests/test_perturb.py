@@ -150,6 +150,19 @@ def test_sample_negative_full_language_exhausts():
         sample_negative(lang, 0, 4, np.random.default_rng(61))
 
 
+@pytest.mark.parametrize("lang, n", [
+    (get_language("dyck-2-3"), 0),
+    (get_language("even-pairs"), 0),
+    (get_language("unmarked-reversal"), 0),
+    (StubLang(Alphabet(["a"]), lambda w: True, lambda n_min, n_max, rng: [0] * n_min), 3),
+], ids=["dyck-2-3", "even-pairs", "unmarked-reversal", "one-glyph"])
+def test_sample_negative_where_no_edit_stays_in_range_exhausts(lang, n):
+    """Every word of length n is a member and no edit keeps a word at that
+    length, so each perturbation is spent, as one with no base is."""
+    with pytest.raises(GenerationError, match="complement too small"):
+        sample_negative(lang, n, n, np.random.default_rng(71))
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n_min, n_max", [(5, 3), (-1, 3)])
 def test_sample_negative_checks_the_range_before_any_draw(seed, n_min, n_max):
