@@ -18,6 +18,7 @@ from .dataset import (
     DatasetSplit,
     forbidden_texts,
     generate_split,
+    is_canonical_split,
     read_lines,
     read_split,
     split_filename,
@@ -181,7 +182,10 @@ def cmd_validate(paths: list[Path]) -> int:
     violations = []
     for path in paths:
         try:
-            split = read_split(path)
+            lines = read_lines(path)
+            if is_canonical_split(lines):
+                continue
+            split = read_split(path, lines)
         except (ParseError, IntegrityError) as exc:
             violations.append(f"{path}: {exc}")
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -234,7 +235,36 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
         raise
 
 
+class _NextSetJson(dict):
+    """Each distinct next set of one file mapped to its JSON text, e.g.
+    ``["0","1","</s>"]``, encoded on first use."""
+
+    def __init__(self, lang: LanguageSpec):
+        super().__init__()
+        self.lang = lang
+
+    def __missing__(self, cur: frozenset[int]) -> str:
+        encoded = self[cur] = json.dumps(_render_next_set(self.lang, cur), separators=(",", ":"))
+        return encoded
+
+    def join(self, next_sets: Iterable[frozenset[int]]) -> str:
+        return ",".join(map(self.__getitem__, next_sets))
+
+
+def _record_line(label: bool, text: str, nexts: str | None) -> str:
+    """One record as ``write_split`` writes it, without its newline: the keys
+    in the order sort_keys gives, the text escaped as json.dumps escapes
+    strings, and ``nexts`` (None: no next field) from ``_NextSetJson.join``."""
+    text = encode_basestring_ascii(text)
+    if nexts is None:
+        return f'{{"label":{int(label)},"text":{text}}}'
+    return f'{{"label":{int(label)},"next":[{nexts}],"text":{text}}}'
+
+
 def _split_lines(split: DatasetSplit) -> Iterator[str]:
+    """The lines of a split file: a sorted-key header, then one
+    ``_record_line`` per example, the formatter ``is_canonical_split``
+    compares each record line of a file with."""
     lang = get_language(split.language)
     header = {
         "format": FORMAT_VERSION,
@@ -246,24 +276,10 @@ def _split_lines(split: DatasetSplit) -> Iterator[str]:
         "count": split.count,
     }
     yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    # each record is written in the key order sort_keys gives, its text
-    # escaped as json.dumps escapes strings; each distinct next set is
-    # JSON-encoded once per file, e.g. ["0","1","</s>"]
-    rendered: dict[frozenset[int], str] = {}
+    next_json = _NextSetJson(lang)
     for ex in split.examples:
-        text = encode_basestring_ascii(ex.text)
-        if ex.next_sets is None:
-            yield f'{{"label":{int(ex.label)},"text":{text}}}\n'
-            continue
-        nexts = []
-        for cur in ex.next_sets:
-            encoded = rendered.get(cur)
-            if encoded is None:
-                encoded = rendered[cur] = json.dumps(
-                    _render_next_set(lang, cur), separators=(",", ":")
-                )
-            nexts.append(encoded)
-        yield f'{{"label":{int(ex.label)},"next":[{",".join(nexts)}],"text":{text}}}\n'
+        nexts = None if ex.next_sets is None else next_json.join(ex.next_sets)
+        yield _record_line(ex.label, ex.text, nexts) + "\n"
 
 
 def write_split(split: DatasetSplit, path) -> None:
@@ -288,6 +304,25 @@ def read_lines(path) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
+def _load(lines: list[str], line_no: int, fields: dict[str, type]) -> dict:
+    """Line ``line_no`` (1-based) of ``lines`` as a JSON object holding each
+    of ``fields`` with exactly its type, or a ParseError naming the line."""
+    try:
+        obj = json.loads(lines[line_no - 1])
+    # a JSONDecodeError is a ValueError; so is an integer of more than
+    # 4300 digits, and nesting deeper than the stack is a RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad record: {getattr(exc, 'msg', exc)}", line_no) from exc
+    if not isinstance(obj, dict):
+        raise ParseError("record is not an object", line_no)
+    for field, kind in fields.items():
+        if field not in obj:
+            raise ParseError(f"missing field {field!r}", line_no)
+        if type(obj[field]) is not kind:  # so a bool is not an int
+            raise ParseError(f"{field!r} must be {kind.__name__}, got {obj[field]!r}", line_no)
+    return obj
+
+
 def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
     """Parse the split file at ``path``; a caller that has already read it
     passes its ``lines`` so the file is read once."""
@@ -296,23 +331,7 @@ def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
     if not lines:
         raise ParseError("empty split file", 1)
 
-    def load(line_no: int, fields: dict[str, type]) -> dict:
-        try:
-            obj = json.loads(lines[line_no - 1])
-        # a JSONDecodeError is a ValueError; so is an integer of more than
-        # 4300 digits, and nesting deeper than the stack is a RecursionError
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"bad record: {getattr(exc, 'msg', exc)}", line_no) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("record is not an object", line_no)
-        for field, kind in fields.items():
-            if field not in obj:
-                raise ParseError(f"missing field {field!r}", line_no)
-            if type(obj[field]) is not kind:  # so a bool is not an int
-                raise ParseError(f"{field!r} must be {kind.__name__}, got {obj[field]!r}", line_no)
-        return obj
-
-    header = load(1, HEADER_FIELDS)
+    header = _load(lines, 1, HEADER_FIELDS)
     if header["format"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format {header['format']!r}", 1)
     lang = get_language(header["language"])
@@ -324,7 +343,7 @@ def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
     examples = []
     parsed: dict[tuple, frozenset[int]] = {}
     for line_no in range(2, len(lines) + 1):
-        record = load(line_no, RECORD_FIELDS)
+        record = _load(lines, line_no, RECORD_FIELDS)
         if record["label"] not in (0, 1):
             raise ParseError(f"label must be 0 or 1, got {record['label']!r}", line_no)
         try:
@@ -387,3 +406,60 @@ def validate_split(split: DatasetSplit) -> list[str]:
     if split.role == "editdist-probe" and any(ex.label for ex in split.examples):
         violations.append("editdist-probe split contains a positive example")
     return violations
+
+
+def is_canonical_split(lines: list[str]) -> bool:
+    """Whether the ``lines`` of a split file are exactly what ``write_split``
+    writes for a sound split, checked as text.  True guarantees that
+    ``read_split`` parses them and ``validate_split`` reports nothing:
+
+    - the header passes ``read_split``'s field, format and count checks and
+      ``split_settings``;
+    - every record line equals the ``_record_line`` of its own text, that
+      text's membership label and, where the line carries next sets, their
+      re-derivation;
+    - every length is in range, an editdist-probe split holds no positive,
+      and the first positive decides whether every positive carries next
+      sets.
+
+    Only the header is decoded as JSON.  It stops at the first record that
+    differs and never raises: False means only that the file is not
+    confirmed here, and the general path then words what is wrong, if
+    anything is."""
+    if not lines:
+        return False
+    try:
+        header = _load(lines, 1, HEADER_FIELDS)
+        lang = get_language(header["language"])
+        split_settings(header["role"], header["seed"], header["count"],
+                       header["n_min"], header["n_max"])
+    except (ParseError, ConfigurationError):
+        return False
+    if header["format"] != FORMAT_VERSION or header["count"] != len(lines) - 1:
+        return False
+    n_min, n_max = header["n_min"], header["n_max"]
+    probe = header["role"] == "editdist-probe"
+    next_json = _NextSetJson(lang)
+    annotated = None
+    for line in lines[1:]:
+        # a written text literal holds no unescaped quote, so the last
+        # "text":" opens it
+        try:
+            text = scanstring(line, line.rfind('"text":"') + 8)[0]
+            word = lang.check(lang.alphabet.encode(text))
+        except (ValueError, UsageError):
+            return False
+        if not n_min <= len(word.ids) <= n_max:
+            return False
+        label = word.contains()
+        nexts = None
+        if label:
+            if probe:
+                return False
+            if annotated is None:
+                annotated = line.startswith('{"label":1,"next":')
+            if annotated:
+                nexts = next_json.join(word.next_sets())
+        if line != _record_line(label, text, nexts):
+            return False
+    return True

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from flgen.cli import main
-from flgen.dataset import DatasetSplit, LabeledExample, generate_split, read_split, write_split
+from flgen.dataset import (
+    DatasetSplit,
+    LabeledExample,
+    generate_split,
+    is_canonical_split,
+    read_lines,
+    read_split,
+    write_split,
+)
 from flgen.errors import ConfigurationError
 from flgen.langlib import get_language
 
@@ -268,6 +276,57 @@ def test_validate_fresh_suite_passes(tmp_path, capsys):
     paths = [str(p) for p in sorted(out.iterdir())]
     assert main(["validate", *paths]) == 0
     assert "6 file(s) pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("language", ["parity", "modular-arithmetic", "stack-manipulation"])
+def test_validate_decodes_json_only_in_the_header_of_a_written_split(
+    tmp_path, capsys, monkeypatch, language
+):
+    """A file exactly as generate wrote it passes as text: json.loads runs on
+    each header and on no record, so a fallback to the general path fails
+    here, not only in the bench.  modular-arithmetic's "×" is written as
+    an escape, and stack-manipulation's glyphs are longer than one character."""
+    out = _generate(tmp_path, language=language, extra=["--annotate"])
+    paths = [str(p) for p in sorted(out.iterdir())]
+    assert any('"next"' in line for line in (out / f"{language}.train.jsonl").open())
+    loads = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: loads.append(a) or real_loads(*a, **k))
+    capsys.readouterr()
+    assert main(["validate", *paths]) == 0
+    assert capsys.readouterr().out == "6 file(s) pass\n"
+    assert len(loads) == 6
+    assert all(a[0].startswith('{"count":') for a in loads)
+
+
+def _reorder_next_sets(line: str) -> str:
+    record = json.loads(line)
+    if "next" in record:
+        record["next"] = [glyphs[::-1] for glyphs in record["next"]]
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("rewrite, canonical", [
+    (_reorder_next_sets, False),
+    (lambda line: json.dumps(json.loads(line), sort_keys=True), False),
+    (lambda line: json.dumps(dict(reversed(json.loads(line).items())),
+                             separators=(",", ":")), False),
+    (lambda line: line + "\r", True),
+], ids=["next-glyphs-reordered", "spaces-after-separators", "keys-reordered", "crlf"])
+def test_validate_accepts_equivalent_encodings_generate_does_not_write(
+    tmp_path, capsys, rewrite, canonical
+):
+    """Every record rewritten into an equivalent form still passes; all but
+    CRLF line ends, which reading drops, are not what generate writes and
+    take the general path."""
+    path = _generate(tmp_path, extra=["--annotate"]) / "parity.train.jsonl"
+    lines = path.read_text().splitlines()
+    assert sum(len(g) > 1 for line in lines[1:] for g in json.loads(line).get("next", []))
+    path.write_text("\n".join([lines[0], *map(rewrite, lines[1:])]) + "\n")
+    assert is_canonical_split(read_lines(path)) is canonical
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "1 file(s) pass\n"
 
 
 def test_validate_flags_flipped_label(tmp_path, capsys):

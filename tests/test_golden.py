@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from flgen.cli import main
-from flgen.dataset import ROLES, split_filename
+from flgen.dataset import ROLES, is_canonical_split, read_lines, split_filename
 from flgen.langlib import LANGUAGE_NAMES, REGULAR_NAMES
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
@@ -112,6 +112,18 @@ def test_output_matches_golden_digests(name, pinned, tmp_path, capsys):
     got = language_digests(name, tmp_path)
     capsys.readouterr()
     assert got == pinned[name]
+
+
+@pytest.mark.parametrize("name", LANGUAGE_NAMES)
+def test_every_golden_split_passes_the_text_check(name, tmp_path, capsys):
+    """``flgen validate`` takes its fast path on every file generate writes,
+    so it decodes no record of them as JSON."""
+    language_digests(name, tmp_path)
+    capsys.readouterr()
+    for mode in ("plain", "annotate"):
+        for role in ROLES:
+            path = tmp_path / mode / split_filename(name, role)
+            assert is_canonical_split(read_lines(path)), path
 
 
 def changed_keys(old: dict, new: dict) -> list[str]:

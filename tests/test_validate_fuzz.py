@@ -1,5 +1,7 @@
 """Fuzz ``flgen validate`` with mutated split files: every input ends in a
-documented exit code, never a traceback."""
+documented exit code, never a traceback; and a file that the text check
+``is_canonical_split`` passes is one that the general path, ``read_split``
+then ``validate_split``, passes too."""
 
 import contextlib
 import io
@@ -9,8 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flgen import cli
 from flgen.cli import main
-from flgen.dataset import generate_split, write_split
+from flgen.dataset import (
+    ROLES,
+    generate_split,
+    is_canonical_split,
+    read_lines,
+    read_split,
+    validate_split,
+    write_split,
+)
 from flgen.langlib import get_language
 
 LANGUAGES = ("parity", "stack-manipulation", "binary-addition", "bucket-sort")
@@ -95,3 +106,152 @@ def test_validate_survives_mutated_files(split_files, name, mutations):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert "unknown language" in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# soundness of the text check: mutations that keep every line in the form
+# write_split gives it, so that the check, not only the general path, judges
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+HEADER_INTS = ("n_min", "n_max", "seed", "count")
+TEXT_CHARS = ("0", "1", "#", "=", "+", "×", "POP", "PUSH", "x", " ", '"', "\\")
+
+CANONICAL_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("retype"),
+        st.integers(min_value=0),
+        st.sampled_from(["format", "language", "role", *HEADER_INTS, "text", "label", "next"]),
+        JSON_VALUES,
+    ),
+    st.tuples(st.just("bool"), st.sampled_from(HEADER_INTS)),
+    st.tuples(st.just("shift"), st.sampled_from(HEADER_INTS), st.integers(-4, 4)),
+    st.tuples(st.just("role"), st.sampled_from(list(ROLES))),
+    st.tuples(st.just("label"), st.integers(min_value=0)),
+    st.tuples(st.just("text"), st.integers(min_value=0), st.integers(min_value=0),
+              st.sampled_from(TEXT_CHARS)),
+    st.tuples(st.just("next"), *[st.integers(min_value=0)] * 4),
+    st.tuples(st.just("drop"), st.integers(min_value=0)),
+)
+
+
+@pytest.fixture(scope="module")
+def canonical_files(split_files):
+    """The fuzz splits, plus a one-record split of each language whose header
+    fields 0 and 1 can each turn into a bool (n_max too on parity, the one
+    language here with members of length at most 1)."""
+    root, files = split_files
+    out = dict(files)
+    for name in LANGUAGES:
+        split = generate_split(get_language(name), "val-short", 1, annotate=True,
+                               count=1, n_min=0, n_max=1 if name == "parity" else 14)
+        path = root / f"{name}.one.jsonl"
+        write_split(split, path)
+        out[f"{name}.one"] = path.read_bytes()
+    return root, out
+
+
+def _mutate_canonical(objs: list, mutation) -> None:
+    """Apply ``mutation`` in place to the header and records of a split."""
+    kind, *args = mutation
+    records = [obj for obj in objs[1:] if isinstance(obj, dict)]
+    if kind == "retype":
+        index, field, value = args
+        obj = objs[index % len(objs)]
+        if isinstance(obj, dict):
+            obj[field] = value
+    elif kind == "bool":
+        value = objs[0].get(args[0])
+        if type(value) is bool:
+            objs[0][args[0]] = int(value)
+        elif type(value) is int:
+            objs[0][args[0]] = bool(value)
+    elif kind == "shift":
+        if type(objs[0].get(args[0])) is int:
+            objs[0][args[0]] += args[1]
+    elif kind == "role":
+        objs[0]["role"] = args[0]
+    elif kind == "label" and records:
+        record = records[args[0] % len(records)]
+        if record.get("label") in (0, 1):
+            record["label"] = 1 - record["label"]
+    elif kind == "text" and records:
+        record = records[args[0] % len(records)]
+        text = record.get("text")
+        if type(text) is str:
+            at = args[1] % (len(text) + 1)
+            record["text"] = text[:at] + args[2] + text[at + 1:]
+    elif kind == "next":
+        annotated = [r for r in records if type(r.get("next")) is list and r["next"]]
+        if annotated:
+            a = annotated[args[0] % len(annotated)]["next"]
+            b = annotated[args[2] % len(annotated)]["next"]
+            i, j = args[1] % len(a), args[3] % len(b)
+            a[i], b[j] = b[j], a[i]
+    elif kind == "drop" and len(objs) > 1:
+        del objs[1 + args[0] % (len(objs) - 1)]
+
+
+def _validate(path, general: bool) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``flgen validate path``; ``general``
+    declines the text check, so that read_split and validate_split judge."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if general:
+            mp.setattr(cli, "is_canonical_split", lambda lines: False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["validate", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_sound(path) -> bool:
+    """The check passes only what the general path passes, and validate says
+    the same with and without it; returns whether the check passed."""
+    passed = is_canonical_split(read_lines(path))
+    if passed:
+        assert validate_split(read_split(path)) == []
+    assert _validate(path, general=False) == _validate(path, general=True)
+    return passed
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted({f"{n}{s}" for n in LANGUAGES for s in ("", ".one")})),
+       mutations=st.lists(CANONICAL_MUTATIONS, min_size=1, max_size=3))
+def test_text_check_passes_only_what_the_general_path_passes(canonical_files, name, mutations):
+    root, files = canonical_files
+    objs = [json.loads(line) for line in files[name].decode().splitlines()]
+    for mutation in mutations:
+        _mutate_canonical(objs, mutation)
+    path = root / "canonical-mutated.jsonl"
+    path.write_text("".join(_dump(obj) + "\n" for obj in objs), encoding="utf-8")
+    _assert_sound(path)
+
+
+@pytest.mark.parametrize("name", LANGUAGES)
+@pytest.mark.parametrize("field, value", [("count", True), ("n_min", False)])
+def test_a_bool_header_field_fails_the_check_and_validate(
+    canonical_files, tmp_path, name, field, value
+):
+    """``"count": true`` on a one-record split re-dumps to a header that
+    compares equal to the written one; read_split's type check still rejects
+    it, on both paths."""
+    root, files = canonical_files
+    objs = [json.loads(line) for line in files[f"{name}.one"].decode().splitlines()]
+    assert objs[0][field] == value
+    objs[0][field] = value
+    path = tmp_path / "bool.jsonl"
+    path.write_text("".join(_dump(obj) + "\n" for obj in objs), encoding="utf-8")
+    assert not _assert_sound(path)
+    assert _validate(path, general=False) == (
+        1, f"{path}: line 1: {field!r} must be int, got {value!r}\n", "")
+
+
+@pytest.mark.parametrize("name", sorted({f"{n}{s}" for n in LANGUAGES for s in ("", ".one")}))
+def test_text_check_passes_every_unmutated_fuzz_split(canonical_files, name):
+    root, files = canonical_files
+    path = root / "unmutated.jsonl"
+    path.write_bytes(files[name])
+    assert _assert_sound(path)
