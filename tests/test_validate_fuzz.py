@@ -113,8 +113,9 @@ def test_validate_survives_mutated_files(split_files, name, mutations):
 # write_split gives it, so that the check, not only the general path, judges
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _write_canonical(path, objs: list) -> None:
+    path.write_text("".join(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+                            for obj in objs), encoding="utf-8")
 
 
 HEADER_INTS = ("n_min", "n_max", "seed", "count")
@@ -138,20 +139,30 @@ CANONICAL_MUTATIONS = st.one_of(
 )
 
 
+# modular-arithmetic writes its "×" as an escape
+CANONICAL_LANGUAGES = (*LANGUAGES, "modular-arithmetic")
+CANONICAL_NAMES = sorted(f"{name}{kind}" for name in CANONICAL_LANGUAGES for kind in ("", ".one"))
+
+
 @pytest.fixture(scope="module")
-def canonical_files(split_files):
-    """The fuzz splits, plus a one-record split of each language whose header
-    fields 0 and 1 can each turn into a bool (n_max too on parity, the one
-    language here with members of length at most 1)."""
-    root, files = split_files
-    out = dict(files)
-    for name in LANGUAGES:
-        split = generate_split(get_language(name), "val-short", 1, annotate=True,
-                               count=1, n_min=0, n_max=1 if name == "parity" else 14)
-        path = root / f"{name}.one.jsonl"
-        write_split(split, path)
-        out[f"{name}.one"] = path.read_bytes()
-    return root, out
+def canonical_files(tmp_path_factory):
+    """name -> bytes of an annotated six-record split of each language, and,
+    as name.one, of a one-record split whose header fields 0 and 1 can each
+    turn into a bool (n_max too on parity, the one language here with
+    members of length at most 1)."""
+    root = tmp_path_factory.mktemp("canonical")
+    files = {}
+    for name in CANONICAL_LANGUAGES:
+        lang = get_language(name)
+        for kind, split in (
+            ("", generate_split(lang, "val-short", 5, annotate=True, count=6, n_max=14)),
+            (".one", generate_split(lang, "val-short", 1, annotate=True, count=1,
+                                    n_min=0, n_max=1 if name == "parity" else 14)),
+        ):
+            path = root / f"{name}{kind}.jsonl"
+            write_split(split, path)
+            files[f"{name}{kind}"] = path.read_bytes()
+    return root, files
 
 
 def _mutate_canonical(objs: list, mutation) -> None:
@@ -218,7 +229,7 @@ def _assert_sound(path) -> bool:
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(name=st.sampled_from(sorted({f"{n}{s}" for n in LANGUAGES for s in ("", ".one")})),
+@given(name=st.sampled_from(CANONICAL_NAMES),
        mutations=st.lists(CANONICAL_MUTATIONS, min_size=1, max_size=3))
 def test_text_check_passes_only_what_the_general_path_passes(canonical_files, name, mutations):
     root, files = canonical_files
@@ -226,30 +237,30 @@ def test_text_check_passes_only_what_the_general_path_passes(canonical_files, na
     for mutation in mutations:
         _mutate_canonical(objs, mutation)
     path = root / "canonical-mutated.jsonl"
-    path.write_text("".join(_dump(obj) + "\n" for obj in objs), encoding="utf-8")
+    _write_canonical(path, objs)
     _assert_sound(path)
 
 
-@pytest.mark.parametrize("name", LANGUAGES)
+@pytest.mark.parametrize("name", CANONICAL_LANGUAGES)
 @pytest.mark.parametrize("field, value", [("count", True), ("n_min", False)])
 def test_a_bool_header_field_fails_the_check_and_validate(
     canonical_files, tmp_path, name, field, value
 ):
-    """``"count": true`` on a one-record split re-dumps to a header that
-    compares equal to the written one; read_split's type check still rejects
-    it, on both paths."""
+    """``"count": true`` on a one-record split parses and re-dumps to the
+    same header line; only read_split's type check, which the text check
+    shares, rejects it."""
     root, files = canonical_files
     objs = [json.loads(line) for line in files[f"{name}.one"].decode().splitlines()]
     assert objs[0][field] == value
     objs[0][field] = value
     path = tmp_path / "bool.jsonl"
-    path.write_text("".join(_dump(obj) + "\n" for obj in objs), encoding="utf-8")
+    _write_canonical(path, objs)
     assert not _assert_sound(path)
     assert _validate(path, general=False) == (
         1, f"{path}: line 1: {field!r} must be int, got {value!r}\n", "")
 
 
-@pytest.mark.parametrize("name", sorted({f"{n}{s}" for n in LANGUAGES for s in ("", ".one")}))
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
 def test_text_check_passes_every_unmutated_fuzz_split(canonical_files, name):
     root, files = canonical_files
     path = root / "unmutated.jsonl"
