@@ -31,7 +31,6 @@ from .editdist import edit_distance
 from .errors import (
     ConfigurationError,
     GenerationError,
-    IntegrityError,
     ParseError,
     UsageError,
 )
@@ -186,7 +185,7 @@ def cmd_validate(paths: list[Path]) -> int:
             if is_canonical_split(lines):
                 continue
             split = read_split(path, lines)
-        except (ParseError, IntegrityError) as exc:
+        except ParseError as exc:
             violations.append(f"{path}: {exc}")
             continue
         violations.extend(f"{path}: {v}" for v in validate_split(split))
@@ -292,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, UsageError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, IntegrityError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .automata import EOS, EOS_GLYPH
-from .errors import ConfigurationError, GenerationError, IntegrityError, ParseError, UsageError
+from .errors import ConfigurationError, GenerationError, ParseError, UsageError
 from .langlib import LanguageSpec, get_language
 from .perturb import sample_negative
 
@@ -40,7 +40,7 @@ DEDUP_AGAINST: dict[str, tuple[str, ...]] = {"test-short": ("train", "val-short"
 
 DEFAULT_DEDUP_ATTEMPTS = 1_000
 
-# required field -> its JSON type; the optional "next" is checked by _parse_next
+# required field -> its JSON type; a record's optional "next" is _NextSetIds's
 HEADER_FIELDS = {"format": str, "language": str, "role": str,
                  "n_min": int, "n_max": int, "seed": int, "count": int}
 RECORD_FIELDS = {"text": str, "label": int}
@@ -125,12 +125,12 @@ def generate_split(
     count: int | None = None,
     n_min: int | None = None,
     n_max: int | None = None,
-    forbidden: set[str] | None = None,
+    forbidden: set[str] | frozenset[str] = frozenset(),
 ) -> DatasetSplit:
     """``count`` examples of ``role``; ``split_settings`` fills and checks the
     settings.  Example i draws from ``SeedSequence([master_seed, role id, i])``,
-    and one whose text is in ``forbidden`` (None or empty: nothing is) is
-    redrawn, with its label, from the rest of that stream."""
+    and one whose text is in ``forbidden`` is redrawn, with its label, from
+    the rest of that stream."""
     count, n_min, n_max = split_settings(role, master_seed, count, n_min, n_max)
     role_id = ROLES[role][0]
     examples: list[LabeledExample] = []
@@ -141,7 +141,7 @@ def generate_split(
         for _attempt in range(DEFAULT_DEDUP_ATTEMPTS):
             example = generate_example(lang, n_min, n_max, annotate, rng, label)
             label = example.label
-            if forbidden is None or example.text not in forbidden:
+            if example.text not in forbidden:
                 break
         else:
             kind = "positive" if label else "negative"
@@ -184,38 +184,6 @@ def _render_next_set(lang: LanguageSpec, cur: frozenset[int]) -> list[str]:
     return glyphs
 
 
-def _parse_next_set(lang: LanguageSpec, arr: list, line_no: int) -> frozenset[int]:
-    ids = set()
-    for glyph in arr:
-        if glyph == EOS_GLYPH:
-            ids.add(EOS)
-        elif type(glyph) is str and glyph in lang.alphabet:
-            ids.add(lang.alphabet.id_of(glyph))
-        else:
-            raise ParseError(f"unknown symbol {glyph!r} in next field", line_no)
-    return frozenset(ids)
-
-
-def _parse_next(
-    lang: LanguageSpec, arrays, line_no: int, parsed: dict[tuple, frozenset[int]]
-) -> tuple[frozenset[int], ...]:
-    """The next sets of one record.  ``parsed`` maps each glyph tuple already
-    seen in the file to its set; only tuples that passed the glyph check are
-    in it, and a str never equals a glyph of another JSON type, so a hit
-    needs no second check."""
-    if type(arrays) is not list or not {list}.issuperset(map(type, arrays)):
-        raise ParseError("next must be a list of lists of symbols", line_no)
-    out = []
-    for arr in arrays:
-        key = tuple(arr)
-        try:
-            ids = parsed[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable glyph
-            ids = parsed[key] = _parse_next_set(lang, arr, line_no)
-        out.append(ids)
-    return tuple(out)
-
-
 def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then rename it
     over ``path``: a write that fails part way leaves any earlier file
@@ -251,6 +219,33 @@ class _NextSetJson(dict):
         return ",".join(map(self.__getitem__, next_sets))
 
 
+class _NextSetIds(dict):
+    """Each distinct glyph tuple of one file's next fields mapped to its id
+    set, parsed on first use: the reading twin of ``_NextSetJson``."""
+
+    def __init__(self, lang: LanguageSpec):
+        super().__init__()
+        self.ids = {glyph: i for i, glyph in enumerate(lang.alphabet.glyphs)}
+        self.ids[EOS_GLYPH] = EOS
+
+    def __missing__(self, glyphs: tuple) -> frozenset[int]:
+        ids = self[glyphs] = frozenset(map(self.ids.__getitem__, glyphs))
+        return ids
+
+    def parse(self, arrays, line_no: int) -> tuple[frozenset[int], ...]:
+        """The next sets of the record on line ``line_no``.  A glyph that is
+        not ``</s>`` or a str of the alphabet, unhashable ones included, is a
+        lookup miss; the error names the record's first."""
+        if type(arrays) is not list or not {list}.issuperset(map(type, arrays)):
+            raise ParseError("next must be a list of lists of symbols", line_no)
+        try:
+            return tuple(map(self.__getitem__, map(tuple, arrays)))
+        except (KeyError, TypeError):
+            glyph = next(g for arr in arrays for g in arr
+                         if type(g) is not str or g not in self.ids)
+            raise ParseError(f"unknown symbol {glyph!r} in next field", line_no) from None
+
+
 def _record_line(label: bool, text: str, nexts: str | None) -> str:
     """One record as ``write_split`` writes it, without its newline: the keys
     in the order sort_keys gives, the text escaped as json.dumps escapes
@@ -262,19 +257,12 @@ def _record_line(label: bool, text: str, nexts: str | None) -> str:
 
 
 def _split_lines(split: DatasetSplit) -> Iterator[str]:
-    """The lines of a split file: a sorted-key header, then one
+    """The lines of a split file: a sorted-key header of HEADER_FIELDS, then one
     ``_record_line`` per example, the formatter ``is_canonical_split``
     compares each record line of a file with."""
     lang = get_language(split.language)
-    header = {
-        "format": FORMAT_VERSION,
-        "language": split.language,
-        "role": split.role,
-        "n_min": split.n_min,
-        "n_max": split.n_max,
-        "seed": split.seed,
-        "count": split.count,
-    }
+    header = {field: FORMAT_VERSION if field == "format" else getattr(split, field)
+              for field in HEADER_FIELDS}
     yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     next_json = _NextSetJson(lang)
     for ex in split.examples:
@@ -323,25 +311,31 @@ def _load(lines: list[str], line_no: int, fields: dict[str, type]) -> dict:
     return obj
 
 
-def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
-    """Parse the split file at ``path``; a caller that has already read it
-    passes its ``lines`` so the file is read once."""
-    if lines is None:
-        lines = read_lines(path)
+def _read_header(lines: list[str]) -> tuple[dict, LanguageSpec]:
+    """The header of a split file's ``lines`` and its language, checked in
+    this order: the file is not empty, every HEADER_FIELDS field has its
+    type, the format is FORMAT_VERSION, the language is known
+    (ConfigurationError if not), and the count is the number of records."""
     if not lines:
         raise ParseError("empty split file", 1)
-
     header = _load(lines, 1, HEADER_FIELDS)
     if header["format"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format {header['format']!r}", 1)
     lang = get_language(header["language"])
     if len(lines) - 1 != header["count"]:
-        raise IntegrityError(
-            f"line 1: header promises {header['count']} examples, "
-            f"file has {len(lines) - 1}"
-        )
+        raise ParseError(f"header promises {header['count']} examples, "
+                         f"file has {len(lines) - 1}", 1)
+    return header, lang
+
+
+def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
+    """Parse the split file at ``path``; a caller that has already read it
+    passes its ``lines`` so the file is read once."""
+    if lines is None:
+        lines = read_lines(path)
+    header, lang = _read_header(lines)
     examples = []
-    parsed: dict[tuple, frozenset[int]] = {}
+    next_ids = _NextSetIds(lang)
     for line_no in range(2, len(lines) + 1):
         record = _load(lines, line_no, RECORD_FIELDS)
         if record["label"] not in (0, 1):
@@ -352,7 +346,7 @@ def read_split(path, lines: list[str] | None = None) -> DatasetSplit:
             raise ParseError(f"cannot tokenize text: {exc}", line_no) from exc
         next_sets = None
         if "next" in record:
-            next_sets = _parse_next(lang, record["next"], line_no, parsed)
+            next_sets = next_ids.parse(record["next"], line_no)
         examples.append(
             LabeledExample(symbols, record["text"], bool(record["label"]), next_sets)
         )
@@ -413,8 +407,8 @@ def is_canonical_split(lines: list[str]) -> bool:
     writes for a sound split, checked as text.  True guarantees that
     ``read_split`` parses them and ``validate_split`` reports nothing:
 
-    - the header passes ``read_split``'s field, format and count checks and
-      ``split_settings``;
+    - the header passes ``_read_header``, the check ``read_split`` makes,
+      and ``split_settings``;
     - every record line equals the ``_record_line`` of its own text, that
       text's membership label and, where the line carries next sets, their
       re-derivation;
@@ -426,16 +420,11 @@ def is_canonical_split(lines: list[str]) -> bool:
     differs and never raises: False means only that the file is not
     confirmed here, and the general path then words what is wrong, if
     anything is."""
-    if not lines:
-        return False
     try:
-        header = _load(lines, 1, HEADER_FIELDS)
-        lang = get_language(header["language"])
+        header, lang = _read_header(lines)
         split_settings(header["role"], header["seed"], header["count"],
                        header["n_min"], header["n_max"])
     except (ParseError, ConfigurationError):
-        return False
-    if header["format"] != FORMAT_VERSION or header["count"] != len(lines) - 1:
         return False
     n_min, n_max = header["n_min"], header["n_max"]
     probe = header["role"] == "editdist-probe"

@@ -22,17 +22,12 @@ class GenerationError(FlgenError):
 
 
 class ParseError(FlgenError):
-    """A data file is malformed.
-
-    ``line`` is the 1-based line number the problem was found on, when known.
-    """
+    """A data file is malformed, a header that disagrees with its file
+    included; the CLI exits 1 on it.  ``line`` is the 1-based line number of
+    the problem, when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class IntegrityError(FlgenError):
-    """A data file parsed cleanly but is inconsistent with its own header."""

@@ -26,21 +26,7 @@ from flgen.editdist import (
 from flgen.errors import UsageError
 from flgen.langlib import LANGUAGE_NAMES, get_language
 
-from .oracles import lift_tropical, wfa_stringsum
-
-BITS = Alphabet(["0", "1"])
-
-
-def parity_dfa():
-    return PartialDfa(2, BITS, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0, [1])
-
-
-def repeat01_dfa():
-    return PartialDfa(2, BITS, {(0, 0): 1, (1, 1): 0}, 0, [0])
-
-
-def first_dfa():
-    return PartialDfa(2, BITS, {(0, 1): 1, (1, 0): 1, (1, 1): 1}, 0, [1])
+from .oracles import BITS, first_dfa, lift_tropical, parity_dfa, repeat01_dfa, wfa_stringsum
 
 
 def test_alphabet_round_trip_and_greedy_tokenization():
@@ -212,6 +198,22 @@ def test_dfa_constructor_checks_symbols_and_states_as_indices():
     ]:
         with pytest.raises(TypeError):
             PartialDfa(2, BITS, transitions, start, accepting)
+
+
+@pytest.mark.parametrize("n_states, transitions, start, accepting, message", [
+    (0, {}, 0, [], "a DFA needs at least one state"),
+    (2, {}, 2, [1], "start state 2 out of range"),
+    (2, {}, -1, [1], "start state -1 out of range"),
+    (2, {}, 0, [2], "accepting state 2 out of range"),
+    (2, {(0, 1): 2}, 0, [1], "transition (0, 1, 2) out of range"),
+    (2, {(2, 1): 0}, 0, [1], "transition (2, 1, 0) out of range"),
+])
+def test_dfa_constructor_rejects_states_out_of_range(
+    n_states, transitions, start, accepting, message
+):
+    with pytest.raises(UsageError) as err:
+        PartialDfa(n_states, BITS, transitions, start, accepting)
+    assert str(err.value) == message
 
 
 def test_check_trim_flags_unreachable_state():

@@ -184,6 +184,14 @@ def test_parser_is_reused_without_leaking_between_calls(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("language: parity\n")
 
 
+def test_generate_out_naming_a_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["generate", "--language", "parity", "--out", str(out), *SMALL]) == 3
+    assert f"cannot create {out}" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
 def test_generate_infeasible_range_exits_2(tmp_path, capsys):
     rc = main(["generate", "--language", "repeat-01", "--seed", "0",
                "--out", str(tmp_path / "x"), "--min-len", "3", "--max-len", "3"])
@@ -455,6 +463,25 @@ def test_mistyped_field_exits_1_with_line_number(
     assert f"line {line_no}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", ["5", "[1]"])
+def test_record_that_is_not_an_object_exits_1_with_line_number(
+    annotated_split, tmp_path, capsys, record
+):
+    """A record line that is JSON but not an object is malformed for
+    validate and for editdist alike."""
+    lines = annotated_split.read_text().splitlines()
+    lines[3] = record
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{bad}: line 4: record is not an object"]
+    assert main(["editdist", "--language", "parity", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 4: record is not an object\n"
+
+
 def test_non_utf8_split_exits_1_with_line_number(annotated_split, tmp_path, capsys):
     """A byte that is not UTF-8 is a malformed file, not a traceback."""
     data = bytearray(annotated_split.read_bytes())
@@ -598,6 +625,19 @@ def test_editdist_split_of_another_language_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is a repeat-01 split, but --language is parity" in captured.err
+
+
+def test_editdist_split_whose_count_disagrees_exits_1_naming_line_1(
+    annotated_split, tmp_path, capsys
+):
+    lines = annotated_split.read_text().splitlines()
+    bad = tmp_path / "short.jsonl"
+    bad.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    assert main(["editdist", "--language", "parity", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: header promises 6 examples, file has 5\n"
 
 
 def test_editdist_unwritable_out_names_the_destination(tmp_path, capsys):

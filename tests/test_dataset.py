@@ -18,7 +18,7 @@ from flgen.dataset import (
     write_split,
 )
 from flgen.automata import EOS, Alphabet
-from flgen.errors import ConfigurationError, GenerationError, IntegrityError, ParseError
+from flgen.errors import ConfigurationError, GenerationError, ParseError
 from flgen.langlib import LANGUAGE_NAMES, get_language
 from flgen.perturb import sample_negative
 
@@ -281,7 +281,7 @@ def test_read_errors(tmp_path):
     assert err.value.line == 3
 
     rewrite(lambda lines: lines.pop())
-    with pytest.raises(IntegrityError, match="promises 3"):
+    with pytest.raises(ParseError, match="line 1: header promises 3"):
         read_split(path)
 
     rewrite(lambda lines: lines.__setitem__(

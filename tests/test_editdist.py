@@ -16,7 +16,7 @@ import pytest
 from numpy.random import default_rng
 
 from flgen import editdist
-from flgen.automata import EPSILON, Alphabet, PartialDfa, Wfa, dfa_accepts
+from flgen.automata import Alphabet, PartialDfa, Wfa, dfa_accepts
 from flgen.editdist import (
     EditDistanceResult,
     build_chain_wfa,

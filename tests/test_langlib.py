@@ -444,6 +444,11 @@ def test_infeasible_ranges():
             get_language(name).sample_positive(lo, hi, rng)
 
 
+def test_procedural_language_has_no_sampler_tables():
+    with pytest.raises(UsageError, match="majority is procedural and has no sampler tables"):
+        get_language("majority").sampler_tables(0, 40)
+
+
 @pytest.mark.parametrize("name", REGULAR_NAMES)
 def test_shared_table_serves_narrow_range_exactly(name):
     lang = get_language(name)
