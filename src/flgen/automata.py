@@ -49,15 +49,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.glyphs)
 
-    def __contains__(self, glyph: str) -> bool:
-        return glyph in self._ids
-
-    def id_of(self, glyph: str) -> int:
-        try:
-            return self._ids[glyph]
-        except KeyError:
-            raise UsageError(f"glyph {glyph!r} is not in alphabet {self.glyphs!r}") from None
-
     def encode(self, text: str) -> list[int]:
         if self._one_char:
             try:
@@ -98,9 +89,6 @@ class Alphabet:
     def decode(self, symbols: Sequence[int]) -> str:
         glyphs = self.glyphs
         return "".join([glyphs[s] for s in self.ids(symbols)])
-
-    def render_symbol(self, symbol: int) -> str:
-        return EOS_GLYPH if symbol == EOS else self.decode([symbol])
 
 
 class PartialDfa:

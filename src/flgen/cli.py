@@ -83,10 +83,6 @@ def _generate_suite(
 ) -> dict[str, DatasetSplit]:
     """The six splits in ROLES order, with test-short deduplicated against
     the train and validation texts."""
-    if lang.dfa is not None:
-        # build the sampler once, at the widest horizon of any split; every
-        # narrower range is served from the same table
-        lang.sampler_tables(0, max(n_max for _count, _lo, n_max in settings.values()))
     splits: dict[str, DatasetSplit] = {}
     for role, (count, n_min, n_max) in settings.items():
         splits[role] = generate_split(
@@ -221,12 +217,9 @@ def _format_lengths(lengths: tuple[int, ...]) -> str:
 
 def cmd_stats(name: str) -> int:
     lang = get_language(name)
-    glyphs = " ".join(
-        lang.alphabet.render_symbol(i) for i in range(len(lang.alphabet))
-    )
     print(f"language: {lang.name}")
     print(f"class: {lang.class_label}")
-    print(f"alphabet ({len(lang.alphabet)}): {glyphs}")
+    print(f"alphabet ({len(lang.alphabet)}): {' '.join(lang.alphabet.glyphs)}")
     if lang.dfa is None:
         print("membership: procedural")
         return EXIT_OK

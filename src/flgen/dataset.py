@@ -38,6 +38,9 @@ ROLES: dict[str, tuple[int, int, int, int]] = {
 # role -> the earlier splits whose texts it must not repeat
 DEDUP_AGAINST: dict[str, tuple[str, ...]] = {"test-short": ("train", "val-short", "val-long")}
 
+# the roles whose splits hold only negatives
+NEGATIVES_ONLY = frozenset({"editdist-probe"})
+
 DEFAULT_DEDUP_ATTEMPTS = 1_000
 
 # required field -> its JSON type; a record's optional "next" is _NextSetIds's
@@ -136,8 +139,8 @@ def generate_split(
     examples: list[LabeledExample] = []
     for index in range(count):
         rng = _example_rng(master_seed, role_id, index)
-        # a probe is a negative: its fixed label draws no coin
-        label: bool | None = False if role == "editdist-probe" else None
+        # a negatives-only split's fixed label draws no coin
+        label: bool | None = False if role in NEGATIVES_ONLY else None
         for _attempt in range(DEFAULT_DEDUP_ATTEMPTS):
             example = generate_example(lang, n_min, n_max, annotate, rng, label)
             label = example.label
@@ -177,13 +180,6 @@ def split_filename(language: str, role: str) -> str:
     return f"{language}.{role}.jsonl"
 
 
-def _render_next_set(lang: LanguageSpec, cur: frozenset[int]) -> list[str]:
-    glyphs = [lang.alphabet.render_symbol(s) for s in sorted(cur) if s != EOS]
-    if EOS in cur:
-        glyphs.append(EOS_GLYPH)
-    return glyphs
-
-
 def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then rename it
     over ``path``: a write that fails part way leaves any earlier file
@@ -205,14 +201,19 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
 
 class _NextSetJson(dict):
     """Each distinct next set of one file mapped to its JSON text, e.g.
-    ``["0","1","</s>"]``, encoded on first use."""
+    ``["0","1","</s>"]``, encoded on first use: the glyphs of its ids in
+    ascending order, each through ``Alphabet.decode`` so that an id outside
+    the alphabet raises UsageError, then ``</s>`` if it holds EOS."""
 
     def __init__(self, lang: LanguageSpec):
         super().__init__()
-        self.lang = lang
+        self.decode = lang.alphabet.decode
 
     def __missing__(self, cur: frozenset[int]) -> str:
-        encoded = self[cur] = json.dumps(_render_next_set(self.lang, cur), separators=(",", ":"))
+        glyphs = [self.decode([s]) for s in sorted(cur) if s != EOS]
+        if EOS in cur:
+            glyphs.append(EOS_GLYPH)
+        encoded = self[cur] = json.dumps(glyphs, separators=(",", ":"))
         return encoded
 
     def join(self, next_sets: Iterable[frozenset[int]]) -> str:
@@ -377,6 +378,12 @@ def validate_split(split: DatasetSplit) -> list[str]:
                 f"{where}: length {len(ex.symbols)} outside "
                 f"[{split.n_min}, {split.n_max}]"
             )
+        try:
+            spelled = lang.alphabet.encode(ex.text) == list(ex.symbols)
+        except UsageError:
+            spelled = False
+        if not spelled:
+            violations.append(f"{where}: text {ex.text!r} does not spell its symbols")
         word = lang.check(ex.symbols)
         truth = word.contains()
         if truth != ex.label:
@@ -397,8 +404,8 @@ def validate_split(split: DatasetSplit) -> list[str]:
                     violations.append(f"{where}: next sets do not match re-derivation")
         elif annotated and ex.label:
             violations.append(f"{where}: positive example has no next sets in an annotated split")
-    if split.role == "editdist-probe" and any(ex.label for ex in split.examples):
-        violations.append("editdist-probe split contains a positive example")
+    if split.role in NEGATIVES_ONLY and any(ex.label for ex in split.examples):
+        violations.append(f"{split.role} split contains a positive example")
     return violations
 
 
@@ -412,7 +419,7 @@ def is_canonical_split(lines: list[str]) -> bool:
     - every record line equals the ``_record_line`` of its own text, that
       text's membership label and, where the line carries next sets, their
       re-derivation;
-    - every length is in range, an editdist-probe split holds no positive,
+    - every length is in range, a NEGATIVES_ONLY split holds no positive,
       and the first positive decides whether every positive carries next
       sets.
 
@@ -427,7 +434,7 @@ def is_canonical_split(lines: list[str]) -> bool:
     except (ParseError, ConfigurationError):
         return False
     n_min, n_max = header["n_min"], header["n_max"]
-    probe = header["role"] == "editdist-probe"
+    negatives_only = header["role"] in NEGATIVES_ONLY
     next_json = _NextSetJson(lang)
     annotated = None
     for line in lines[1:]:
@@ -443,7 +450,7 @@ def is_canonical_split(lines: list[str]) -> bool:
         label = word.contains()
         nexts = None
         if label:
-            if probe:
+            if negatives_only:
                 return False
             if annotated is None:
                 annotated = line.startswith('{"label":1,"next":')

@@ -49,7 +49,6 @@ class LanguageSpec:
         self.class_label = class_label
         self.alphabet = alphabet
         self.dfa = dfa
-        self.kind = "regular" if dfa is not None else "procedural"
         self._contains = contains
         self._sample_positive = sample_positive
         self._next_sets = next_sets
@@ -109,7 +108,8 @@ class LanguageSpec:
         return self.alphabet.decode(symbols)
 
     def __repr__(self) -> str:
-        return f"<language {self.name} ({self.class_label}, {self.kind})>"
+        kind = "regular" if self.dfa is not None else "procedural"
+        return f"<language {self.name} ({self.class_label}, {kind})>"
 
 
 @dataclass(frozen=True)

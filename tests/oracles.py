@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from flgen.automata import EOS, EPSILON, Alphabet, PartialDfa, Wfa, check_trim
-from flgen.dataset import FORMAT_VERSION, DatasetSplit, _render_next_set
+from flgen.dataset import FORMAT_VERSION, DatasetSplit
 from flgen.editdist import EditDistanceResult
 from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import _dirichlet_parts, _encode_le, _uniform_int, get_language
@@ -661,7 +661,8 @@ def bounded_next_oracle(lang, prefix: list[int], claimed: frozenset,
 
 def json_dumps_split_lines(split: DatasetSplit):
     """The lines of a split file, each record through ``json.dumps`` with
-    sorted keys and no whitespace."""
+    sorted keys and no whitespace; a next set lists the glyphs of its ids in
+    ascending order, then ``</s>`` if it holds EOS."""
     lang = get_language(split.language)
     header = {
         "format": FORMAT_VERSION,
@@ -681,7 +682,10 @@ def json_dumps_split_lines(split: DatasetSplit):
             for cur in ex.next_sets:
                 glyphs = rendered.get(cur)
                 if glyphs is None:
-                    glyphs = rendered[cur] = _render_next_set(lang, cur)
+                    glyphs = [lang.alphabet.glyphs[s] for s in sorted(cur - {EOS})]
+                    if EOS in cur:
+                        glyphs.append("</s>")
+                    rendered[cur] = glyphs
                 nexts.append(glyphs)
             record["next"] = nexts
         yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"

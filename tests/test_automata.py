@@ -32,7 +32,7 @@ from .oracles import BITS, first_dfa, lift_tropical, parity_dfa, repeat01_dfa, w
 def test_alphabet_round_trip_and_greedy_tokenization():
     ab = Alphabet(["0", "1", "POP", "PUSH", "="])
     ids = ab.encode("01011 POP PUSH0 PUSH1 = 101010")
-    pop, push, eq = ab.id_of("POP"), ab.id_of("PUSH"), ab.id_of("=")
+    pop, push, eq = ab.encode("POP PUSH =")
     assert ids == [0, 1, 0, 1, 1, pop, push, 0, push, 1, eq, 1, 0, 1, 0, 1, 0]
     assert ab.encode(ab.decode(ids)) == ids
 
@@ -49,8 +49,6 @@ def test_alphabet_rejects_bad_input():
         ab.encode("012")
     with pytest.raises(UsageError):
         ab.decode([0, 2])
-    with pytest.raises(UsageError):
-        ab.id_of("x")
 
 
 @pytest.mark.parametrize("ids, bad", [
@@ -100,13 +98,6 @@ def test_one_character_lookup_agrees_with_greedy_tokenizing(case):
     error, on glyphs mixed with spaces and foreign characters."""
     alphabet, text = case
     assert _outcome(alphabet.encode, text) == _outcome(alphabet._encode_greedy, text)
-
-
-def test_render_symbol_handles_eos():
-    assert BITS.render_symbol(EOS) == "</s>"
-    assert BITS.render_symbol(1) == "1"
-    with pytest.raises(UsageError):
-        BITS.render_symbol(7)
 
 
 def test_parity_dfa_membership():

@@ -54,7 +54,7 @@ def _tamper_label(path: Path, record_line: int, out: Path) -> None:
 # generate
 
 
-def test_generate_builds_one_sampler_table_at_the_widest_horizon(tmp_path, monkeypatch):
+def test_generate_builds_a_sampler_table_only_for_a_wider_horizon(tmp_path, monkeypatch):
     import flgen.langlib as langlib
 
     lang = get_language("parity")
@@ -69,8 +69,9 @@ def test_generate_builds_one_sampler_table_at_the_widest_horizon(tmp_path, monke
 
     monkeypatch.setattr(langlib, "build_sampler_tables", counted)
     _generate(tmp_path)
-    # SMALL asks for [0, 40], [0, 60] and [0, 80]
-    assert builds == [(0, 80)]
+    # SMALL asks, in ROLES order, for [0, 40] twice, [0, 80], [0, 40] and
+    # [0, 60] twice: a horizon no wider than the table's never rebuilds it
+    assert builds == [(0, 40), (0, 80)]
 
 
 def test_generate_writes_six_files_and_summary(tmp_path, capsys):
@@ -667,6 +668,11 @@ def test_stats_regular(capsys):
     assert "dfa states: 2" in out
     assert "valid lengths [0,40]: 1-40" in out
     assert "preprocessing n_max=500" in out
+
+
+def test_stats_lists_the_alphabet_in_id_order(capsys):
+    assert main(["stats", "stack-manipulation"]) == 0
+    assert "alphabet (5): 0 1 POP PUSH =\n" in capsys.readouterr().out
 
 
 def test_stats_dyck_state_count(capsys):

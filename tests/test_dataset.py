@@ -237,6 +237,24 @@ def test_validate_catches_tampering():
     assert ex  # silence unused warning paths
 
 
+def test_validate_judges_the_text_that_is_written(tmp_path):
+    """write_split writes an example's text, not its symbols, so a text that
+    spells other symbols, or does not tokenize, is a violation; spaces,
+    which encode skips, are not."""
+    def problems(*examples):
+        return validate_split(DatasetSplit("parity", "train", 0, 40, 0, list(examples)))
+
+    assert problems(LabeledExample((1,), " 1 ", True)) == []
+    assert problems(LabeledExample((1,), "0", True)) == [
+        "example 0: text '0' does not spell its symbols"]
+    assert problems(LabeledExample((1,), "x", True)) == [
+        "example 0: text 'x' does not spell its symbols"]
+    # the file written for the first agrees: its text decides its symbols
+    path = tmp_path / "parity.train.jsonl"
+    write_split(DatasetSplit("parity", "train", 0, 40, 0, [LabeledExample((1,), "0", True)]), path)
+    assert validate_split(read_split(path)) == ["example 0: label 1 but membership is 0"]
+
+
 def test_read_errors(tmp_path):
     good = generate_split(get_language("parity"), "val-short", 1, count=3, n_max=10)
     path = tmp_path / "x.jsonl"

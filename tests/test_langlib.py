@@ -182,7 +182,7 @@ def test_dual_oracle_regular(name):
                 pos = int(rng.integers(len(word)))
                 word[pos] = int(rng.integers(n_syms))
         assert dfa_accepts(dfa, word) == lang.contains(word), word
-    assert lang.kind == "regular"
+    assert repr(lang).endswith(", regular)>")
 
 
 @pytest.mark.parametrize("name", LANGUAGE_NAMES)
