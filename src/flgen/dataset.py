@@ -8,6 +8,7 @@ concurrency — cannot change the output.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ NEGATIVES_ONLY = frozenset({"editdist-probe"})
 
 DEFAULT_DEDUP_ATTEMPTS = 1_000
 
+# the longest word a split may hold: a regular language's sampler table
+# grows with it, and dyck-2-3's, the costliest, takes about 0.3 s and 49 MB
+# to build at this n_max
+MAX_LENGTH = 5_000
+
 # required field -> its JSON type; a record's optional "next" is _NextSetIds's
 HEADER_FIELDS = {"format": str, "language": str, "role": str,
                  "n_min": int, "n_max": int, "seed": int, "count": int}
@@ -75,7 +81,8 @@ def split_settings(role: str, seed: int, count: int | None = None, n_min: int | 
                    n_max: int | None = None) -> tuple[int, int, int]:
     """A split's (count, n_min, n_max), each unset value taken from ROLES.
     Raises ConfigurationError for what no generator writes: an unknown role,
-    a negative seed or count, or a range that is not 0 <= n_min <= n_max."""
+    a negative seed or count, a range that is not 0 <= n_min <= n_max, or an
+    n_max past MAX_LENGTH."""
     if role not in ROLES:
         raise ConfigurationError(f"unknown role {role!r}; known: {', '.join(ROLES)}")
     if seed < 0:
@@ -88,11 +95,134 @@ def split_settings(role: str, seed: int, count: int | None = None, n_min: int | 
         raise ConfigurationError(f"{role}: negative count {count}")
     if not 0 <= n_min <= n_max:
         raise ConfigurationError(f"{role}: bad length range [{n_min}, {n_max}]")
+    if n_max > MAX_LENGTH:
+        raise ConfigurationError(f"{role}: n_max {n_max} is past the length limit "
+                                 f"MAX_LENGTH = {MAX_LENGTH}")
     return count, n_min, n_max
 
 
-def _example_rng(master_seed: int, role_id: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, role_id, index]))
+# numpy's SeedSequence hash (O'Neill 2015, "Developing a seed_seq
+# alternative"), in uint32 arithmetic, which wraps as numpy's C code does
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFF_FFFF
+# the examples whose streams are seeded in one pass: a power of two, so that
+# no aligned chunk holds both sides of a multiple of 2**32, where an index
+# takes another word
+_SEED_CHUNK = 1 << 8
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an int: its little-endian 32-bit words,
+    one word for 0."""
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _lanes(consts: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) pair of each lane as two column arrays."""
+    xor, mult = zip(*consts)
+    return np.array(xor, np.uint32)[:, None], np.array(mult, np.uint32)[:, None]
+
+
+@functools.cache
+def _hash_lanes(n_entropy: int) -> tuple:
+    """The lane constants of each stage of SeedSequence's hash over
+    ``n_entropy`` words, in the order the hash uses them: the pool's first
+    hash, one set per pool word mixed into the others (its own lane
+    unused), one set per entropy word past the pool, and the output hash of
+    ``generate_state(4, np.uint64)``."""
+    def chain(init, mult, steps):
+        values = [init]
+        for _ in range(steps):
+            values.append(values[-1] * mult & _MASK32)
+        return list(zip(values, values[1:]))
+
+    steps = iter(chain(_INIT_A, _MULT_A, _POOL * (_POOL + max(n_entropy - _POOL, 0))))
+    first = _lanes([next(steps) for _ in range(_POOL)])
+    into_others = [_lanes([(0, 0) if dst == src else next(steps) for dst in range(_POOL)])
+                   for src in range(_POOL)]
+    past_pool = [_lanes([next(steps) for _ in range(_POOL)]) for _ in range(_POOL, n_entropy)]
+    return first, into_others, past_pool, _lanes(chain(_INIT_B, _MULT_B, 2 * _POOL))
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each lane of ``words``, with that lane's
+    constants."""
+    words = words ^ xor
+    words *= mult
+    words ^= words >> _XSHIFT
+    return words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of ``y`` into ``x``, lane by lane."""
+    mixed = x * _MIX_L - y * _MIX_R
+    mixed ^= mixed >> _XSHIFT
+    return mixed
+
+
+def _seed_rows(master_seed: int, role_id: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """For the indices ``start`` to ``stop``, one aligned chunk of at most
+    _SEED_CHUNK at a time, a C-contiguous (chunk size, 4) uint64 array whose
+    row i is ``SeedSequence([master_seed, role_id, index]).generate_state(4,
+    np.uint64)``.  Within a chunk only the index's low word varies, so
+    SeedSequence's hash runs once per chunk, on lanes that each hold one
+    entropy or pool word of every index."""
+    head = _uint32_words(int(master_seed)) + _uint32_words(role_id)
+    lo = start
+    while lo < stop:
+        hi = min(stop, (lo // _SEED_CHUNK + 1) * _SEED_CHUNK)
+        words = head + _uint32_words(lo)
+        first, into_others, past_pool, output = _hash_lanes(len(words))
+        entropy = np.zeros((max(len(words), _POOL), hi - lo), np.uint32)
+        entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+        entropy[len(head)] += np.arange(hi - lo, dtype=np.uint32)
+        pool = _hash(entropy[:_POOL], *first)
+        for src, consts in enumerate(into_others):
+            mixed = _mix(pool, _hash(pool[src], *consts))
+            mixed[src] = pool[src]
+            pool = mixed
+        for word, consts in zip(entropy[_POOL:], past_pool):
+            pool = _mix(pool, _hash(word, *consts))
+        state = _hash(np.concatenate((pool, pool)), *output)
+        # PCG64 reads a row through its data pointer, so each row must be
+        # contiguous; word pairs join low word first, as numpy joins them
+        yield state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+        lo = hi
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The ISeedSequence whose ``generate_state`` returns a row of
+    ``_seed_rows``, which is what PCG64, its one caller, asks for.  It is
+    made on first use, so that numpy.random loads only in a run that draws:
+    ``validate``, ``editdist`` and ``stats`` never do."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("row",)
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.row
+
+    return SeedWords
+
+
+def _example_streams(master_seed: int, role_id: int, start: int,
+                     stop: int) -> Iterator[np.random.Generator]:
+    """For each index from ``start`` to ``stop``, the Generator that
+    ``default_rng(SeedSequence([master_seed, role_id, index]))`` gives, in
+    the same state."""
+    seed_words = _seed_words_type()
+    for rows in _seed_rows(master_seed, role_id, start, stop):
+        for row in rows:
+            yield np.random.Generator(np.random.PCG64(seed_words(row)))
 
 
 def generate_example(
@@ -131,14 +261,15 @@ def generate_split(
     forbidden: set[str] | frozenset[str] = frozenset(),
 ) -> DatasetSplit:
     """``count`` examples of ``role``; ``split_settings`` fills and checks the
-    settings.  Example i draws from ``SeedSequence([master_seed, role id, i])``,
-    and one whose text is in ``forbidden`` is redrawn, with its label, from
-    the rest of that stream."""
+    settings.  Example i draws from the stream of
+    ``default_rng(SeedSequence([master_seed, role id, i]))``, which
+    ``_example_streams`` seeds a chunk of examples at a time, and one whose
+    text is in ``forbidden`` is redrawn, with its label, from the rest of
+    that stream."""
     count, n_min, n_max = split_settings(role, master_seed, count, n_min, n_max)
-    role_id = ROLES[role][0]
+    streams = _example_streams(master_seed, ROLES[role][0], 0, count)
     examples: list[LabeledExample] = []
-    for index in range(count):
-        rng = _example_rng(master_seed, role_id, index)
+    for index, rng in enumerate(streams):
         # a negatives-only split's fixed label draws no coin
         label: bool | None = False if role in NEGATIVES_ONLY else None
         for _attempt in range(DEFAULT_DEDUP_ATTEMPTS):

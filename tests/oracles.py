@@ -5,7 +5,8 @@ dynamic programming, exhaustive enumeration, textbook edit distance, the
 generic semiring closure over length-binned weights, the tropical lift and
 weighted-automaton stringsum of the edit-distance product route and the
 weighted DFA they build on, a split writer that runs ``json.dumps`` on
-every record, the procedural next-set walkers as first written, and the
+every record, a split's examples drawn from one numpy ``SeedSequence`` per
+example, the procedural next-set walkers as first written, and the
 binary-addition and binary-multiplication samplers as first written)
 without touching the production code paths under test.
 """
@@ -19,7 +20,15 @@ from fractions import Fraction
 import numpy as np
 
 from flgen.automata import EOS, EPSILON, Alphabet, PartialDfa, Wfa, check_trim
-from flgen.dataset import FORMAT_VERSION, DatasetSplit
+from flgen.dataset import (
+    DEFAULT_DEDUP_ATTEMPTS,
+    FORMAT_VERSION,
+    NEGATIVES_ONLY,
+    ROLES,
+    DatasetSplit,
+    LabeledExample,
+    generate_example,
+)
 from flgen.editdist import EditDistanceResult
 from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import _dirichlet_parts, _encode_le, _uniform_int, get_language
@@ -689,6 +698,32 @@ def json_dumps_split_lines(split: DatasetSplit):
                 nexts.append(glyphs)
             record["next"] = nexts
         yield json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def example_rng(master_seed: int, role_id: int, index: int) -> np.random.Generator:
+    """The stream example ``index`` of a split draws from, built as
+    ``numpy.random.default_rng`` builds it from a SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, role_id, index]))
+
+
+def per_example_split(lang, role: str, master_seed: int, *, annotate: bool, count: int,
+                      n_min: int, n_max: int, forbidden=frozenset()) -> list[LabeledExample]:
+    """The examples of ``generate_split`` as first written: each example
+    seeds its own ``example_rng``, and one whose text is in ``forbidden``
+    is redrawn, with its label, from the rest of that stream."""
+    examples = []
+    for index in range(count):
+        rng = example_rng(master_seed, ROLES[role][0], index)
+        label = False if role in NEGATIVES_ONLY else None
+        for _attempt in range(DEFAULT_DEDUP_ATTEMPTS):
+            example = generate_example(lang, n_min, n_max, annotate, rng, label)
+            label = example.label
+            if example.text not in forbidden:
+                break
+        else:
+            raise AssertionError(f"no unseen example at index {index}")
+        examples.append(example)
+    return examples
 
 
 # ---------------------------------------------------------------------------

@@ -260,12 +260,13 @@ def test_generate_config_errors_exit_2(tmp_path, argv_tail):
     (-1, "train=5", "train", {"count": 5}),
     (7, "train=-5", "train", {"count": -5}),
     (7, "train=3:9:3", "train", {"count": 3, "n_min": 9, "n_max": 3}),
+    (7, "train=1:0:5001", "train", {"count": 1, "n_min": 0, "n_max": 5001}),
 ])
 def test_generate_prints_the_settings_error_generate_split_raises(
     tmp_path, capsys, seed, override, role, settings
 ):
     """Each settings rule (unknown role, negative seed, negative count, bad
-    length range) words its error once: the CLI prints what the library
+    length range, length limit) words its error once: the CLI prints what the library
     raises, before the output directory is made."""
     with pytest.raises(ConfigurationError) as exc:
         generate_split(get_language("parity"), role, seed, **settings)
@@ -416,6 +417,8 @@ def annotated_split(tmp_path_factory):
     ({"seed": -1, "count": 0}, 0, "seed must be non-negative, got -1"),
     ({"n_min": -4, "count": 1}, 1, "val-short: bad length range [-4, 10]"),
     ({"n_min": 7, "n_max": 5, "count": 0}, 0, "val-short: bad length range [7, 5]"),
+    ({"n_max": 5001, "count": 0}, 0,
+     "val-short: n_max 5001 is past the length limit MAX_LENGTH = 5000"),
 ])
 def test_validate_rejects_a_header_no_generator_writes(
     annotated_split, tmp_path, capsys, changes, records, message
@@ -726,6 +729,20 @@ def test_running_the_cli_never_loads_the_semiring_module():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, flgen.cli; print('flgen.semiring' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy.random loads on the first example drawn, so ``validate``,
+    ``editdist`` and ``stats`` never pay for its import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flgen.cli; print('numpy.random' in sys.modules)"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import pytest
 
 from flgen import dataset
 from flgen.dataset import (
+    MAX_LENGTH,
     ROLES,
     DatasetSplit,
     LabeledExample,
@@ -12,8 +13,11 @@ from flgen.dataset import (
     generate_split,
     generate_standard_suite,
     read_split,
+    _example_streams,
+    _seed_rows,
     _split_lines,
     split_filename,
+    split_settings,
     validate_split,
     write_split,
 )
@@ -22,7 +26,7 @@ from flgen.errors import ConfigurationError, GenerationError, ParseError
 from flgen.langlib import LANGUAGE_NAMES, get_language
 from flgen.perturb import sample_negative
 
-from .oracles import json_dumps_split_lines
+from .oracles import example_rng, json_dumps_split_lines, per_example_split
 
 
 def test_generate_example_properties():
@@ -405,3 +409,81 @@ def test_generate_split_rejects_settings_no_generator_writes(settings, message):
 def test_role_table():
     assert [r[0] for r in ROLES.values()] == [0, 1, 2, 3, 4, 5]
     assert split_filename("dyck-2-3", "test-long") == "dyck-2-3.test-long.jsonl"
+
+
+def test_split_settings_enforce_the_length_limit():
+    """n_max may reach MAX_LENGTH but not pass it; the check alone runs, so
+    no sampler table of that size is built."""
+    assert split_settings("train", 0, 1, 0, MAX_LENGTH) == (1, 0, MAX_LENGTH)
+    with pytest.raises(ConfigurationError, match=(
+            f"^train: n_max {MAX_LENGTH + 1} is past the length limit "
+            f"MAX_LENGTH = {MAX_LENGTH}$")):
+        split_settings("train", 0, 1, 0, MAX_LENGTH + 1)
+
+
+# seeds of one to seven uint32 words: 2**96 + 3 and 2**200 + 11 have more
+# entropy words than the pool, which takes SeedSequence's extra mixing stage
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3, 2**200 + 11]
+CHUNK = dataset._SEED_CHUNK
+
+
+def _derived(seed: int, role_id: int, start: int, stop: int) -> np.ndarray:
+    return np.concatenate(list(_seed_rows(seed, role_id, start, stop)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("role_id", [r[0] for r in ROLES.values()])
+def test_seed_rows_are_seed_sequence_words(seed, role_id):
+    """Each derived row is SeedSequence's PCG64 seed for its index, on both
+    sides of a chunk boundary and of 2**32, where the index takes a second
+    word; the large indices go through the start index alone."""
+    low = _derived(seed, role_id, 0, CHUNK + 2)
+    high = _derived(seed, role_id, 2**32 - 1, 2**32 + 1)
+    for index, row in [(0, low[0]), (CHUNK - 1, low[CHUNK - 1]), (CHUNK, low[CHUNK]),
+                       (CHUNK + 1, low[CHUNK + 1]), (2**32 - 1, high[0]), (2**32, high[1])]:
+        expected = np.random.SeedSequence([seed, role_id, index]).generate_state(4, np.uint64)
+        assert row.tolist() == expected.tolist(), index
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("start", [0, CHUNK - 1, 2**32 - 1])
+def test_example_streams_draw_as_seed_sequence_streams(seed, start):
+    """The first draws of each stream equal those of numpy's own
+    SeedSequence route, which a row not contiguous in memory would miss."""
+    for offset, rng in enumerate(_example_streams(seed, 4, start, start + 3)):
+        oracle = example_rng(seed, 4, start + offset)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.integers(0, 2**63, 4).tolist() == oracle.integers(0, 2**63, 4).tolist()
+        assert rng.random(3).tolist() == oracle.random(3).tolist()
+
+
+def test_seed_rows_come_in_aligned_chunks():
+    """No chunk crosses a multiple of _SEED_CHUNK, so memory stays per chunk
+    and a chunk never straddles 2**32."""
+    assert [len(rows) for rows in _seed_rows(1, 0, 250, 600)] == [6, CHUNK, 88]
+    assert [len(rows) for rows in _seed_rows(1, 0, 2**32 - 2, 2**32 + 1)] == [2, 1]
+    assert list(_seed_rows(1, 0, 7, 7)) == []
+    assert all(rows.flags.c_contiguous for rows in _seed_rows(2**70, 3, 0, 300))
+
+
+@pytest.mark.parametrize("language", ["dyck-2-3", "majority"])
+def test_generate_split_across_chunks_equals_per_example_seeding(language):
+    lang = get_language(language)
+    count = 2 * CHUNK + 1
+    split = generate_split(lang, "train", 5, annotate=True, count=count)
+    assert split.examples == per_example_split(lang, "train", 5, annotate=True, count=count,
+                                               n_min=0, n_max=40)
+
+
+def test_dedup_retries_continue_the_per_example_stream():
+    lang = get_language("parity")
+    count = 2 * CHUNK + 1
+    natural = generate_split(lang, "test-short", 8, count=count)
+    forbidden = {ex.text for ex in natural.examples[::3]}
+    deduped = generate_split(lang, "test-short", 8, count=count, forbidden=forbidden)
+    assert deduped.examples == per_example_split(lang, "test-short", 8, annotate=False,
+                                                 count=count, n_min=0, n_max=40,
+                                                 forbidden=forbidden)
+    moved = [i for i in range(count) if deduped.examples[i] != natural.examples[i]]
+    assert moved and moved[-1] > 2 * CHUNK - 3
+    assert generate_split(lang, "test-short", 8, count=0).examples == []

@@ -13,7 +13,13 @@ It prints every key whose digest changed against the file it overwrites.
 The bytes also rest on numpy's ``Generator`` streams, which numpy does not
 promise to keep across versions.  ``NUMPY_STREAM_SHA256`` pins the output of
 every ``Generator`` call flgen makes, so a golden failure can be told apart:
-if the stream test fails too, numpy moved, not flgen.
+
+- if the stream test fails too, numpy's ``Generator`` moved, not flgen;
+- if ``test_seed_rows_are_seed_sequence_words`` in ``test_dataset.py``
+  fails alone, numpy's ``SeedSequence`` moved: flgen computes each
+  example's seed words itself, so its bytes stay, but they no longer
+  match ``default_rng(SeedSequence(...))``;
+- if only golden digests fail, flgen moved.
 """
 
 import contextlib
