@@ -52,7 +52,7 @@ class LanguageSpec:
         self._contains = contains
         self._sample_positive = sample_positive
         self._next_sets = next_sets
-        # one table per language, built to the widest horizon requested so
+        # one table per language, widened to the widest horizon requested so
         # far; each length range is a restriction of it
         self._tables: SamplerTables | None = None
         self._ranges: dict[tuple[int, int], SamplerTables] = {}
@@ -83,7 +83,7 @@ class LanguageSpec:
         key = (n_min, n_max)
         if key not in self._ranges:
             if self._tables is None or n_max > self._tables.n_max:
-                self._tables = build_sampler_tables(self.dfa, n_min, n_max)
+                self._tables = build_sampler_tables(self.dfa, n_min, n_max, self._tables)
                 self._ranges.clear()
             self._ranges[key] = self._tables.restrict(n_min, n_max)
         return self._ranges[key]

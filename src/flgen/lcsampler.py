@@ -8,15 +8,18 @@ probability.  The recursion runs over exact integer path weights (the
 counting semiring), so every table entry is a correctly rounded quotient
 and the tables are the same on every IEEE platform.  The per-state local
 tables normalize the targets' weights within each remaining-length bin, and
-a draw walks them symbol by symbol.  Preprocessing costs O(arcs * n_max)
-integer operations; each draw step is one bisect over the state's fan-out.
+a draw walks them symbol by symbol.  A bin costs O(arcs) integer operations
+until its reduced weights repeat an earlier bin's; every later bin repeats
+that cycle and costs O(|Q|).  A table resumes from its last bin, so
+widening one to a larger n_max costs only the new bins.  Each draw step is
+one bisect over the state's fan-out.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -41,6 +44,19 @@ class StateTable:
     rows: list[tuple[float, ...] | None]
 
 
+@dataclass(frozen=True)
+class Frontier:
+    """Where a table's recursion stopped, all that a wider table needs to
+    resume it: the reduced weights of the last bin, the product of the gcds
+    divided out so far and, once the weights cycle, the (gcd, start weight)
+    of each bin of one period, the next bin's first (the weights are then
+    not needed)."""
+
+    weights: list[int]
+    removed: int
+    cycle: tuple[tuple[int, int], ...]
+
+
 @dataclass
 class SamplerTables:
     """Everything needed to draw strings of an exact length from a DFA."""
@@ -51,6 +67,7 @@ class SamplerTables:
     pushed: list[StateTable]
     allsum_z: tuple[float, ...]
     valid_lengths: tuple[int, ...]
+    frontier: Frontier
 
     def restrict(self, n_min: int, n_max: int) -> SamplerTables:
         """The same tables serving [n_min, n_max].  Bin i of beta reads only
@@ -62,29 +79,7 @@ class SamplerTables:
         )
 
 
-def path_weights(dfa: PartialDfa, n_max: int) -> Iterator[tuple[float, list[int]]]:
-    """For i = 0..n_max, exact path weights V_i over the states and the log
-    scale that turns them into beta: log beta_i(q) = log V_i(q) + scale_i.
-
-    With d_q the number of choices at q (its transitions, plus stopping when
-    accepting) and D their lcm, W_i(q) = beta_i(q) * D**(i+1) is an integer:
-    W_0(q) = [q accepting] * D/d_q and W_i(q) = D/d_q * (sum of W_{i-1} over
-    q's targets).  V_i is W_i over the gcd of its entries, which keeps the
-    integers small and every ratio within a bin as it is.
-    """
-    outs = [[dst for _sym, dst in dfa.transitions_from(q)] for q in range(dfa.n_states)]
-    accepting = [dfa.is_accepting(q) for q in range(dfa.n_states)]
-    degrees = [len(o) + a for o, a in zip(outs, accepting)]
-    big_d = math.lcm(*degrees)
-    scale = [big_d // k for k in degrees]
-    row, removed = [s * a for s, a in zip(scale, accepting)], 1
-    yield -math.log(big_d), row
-    for i in range(1, n_max + 1):
-        row = [s * sum(map(row.__getitem__, o)) for s, o in zip(scale, outs)]
-        g = math.gcd(*row) or 1
-        row = [w // g for w in row]
-        removed *= g
-        yield math.log(removed) - (i + 1) * math.log(big_d), row
+_CERTAIN = (1.0,)
 
 
 def _row(weights: list[int], targets: list[int]) -> tuple[float, ...] | None:
@@ -108,27 +103,80 @@ def valid_lengths(allsum_z: tuple[float, ...], n_min: int, n_max: int) -> tuple[
     return tuple(n for n in range(n_min, n_max + 1) if allsum_z[n] > -math.inf)
 
 
-def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTables:
-    """Preprocess a trim DFA for exact-length sampling over [n_min, n_max]."""
+def build_sampler_tables(
+    dfa: PartialDfa, n_min: int, n_max: int, base: SamplerTables | None = None
+) -> SamplerTables:
+    """Preprocess a trim DFA for exact-length sampling over [n_min, n_max].
+
+    Given ``base``, an earlier table of the same DFA, the new table keeps
+    base's bins and resumes the recursion at base's frontier, so it holds
+    exactly the bins a fresh build would; base itself is left as it was.
+
+    With d_q the number of choices at q (its transitions, plus stopping when
+    accepting) and D their lcm, W_i(q) = beta_i(q) * D**(i+1) is an integer:
+    W_0(q) = [q accepting] * D/d_q and W_i(q) = D/d_q * (sum of W_{i-1} over
+    q's targets).  The recursion carries V_i, W_i over the gcd of its
+    entries, which keeps the integers small and every ratio within a bin as
+    it is; ``removed`` is the product of those gcds, so that
+    log beta_i(q) = log V_i(q) + log(removed) - (i+1) * log D.  Once V_i
+    equals an earlier V_j, every later bin repeats the bin p = i - j before
+    it, gcd and start weight included, and needs no sums.
+    """
     require_range(n_min, n_max)
     require_trim(dfa, "sampling")
-    pushed = [
-        StateTable([sym for sym, _dst in o], [dst for _sym, dst in o], [None])
-        for o in map(dfa.transitions_from, range(dfa.n_states))
-    ]
-    log_z = []
-    # the reduced weights of most DFAs repeat within a few bins, and equal
-    # weights give equal rows
-    seen: dict[tuple[int, ...], list[tuple[float, ...] | None]] = {}
-    for i, (log_scale, v) in enumerate(path_weights(dfa, n_max)):
-        w = v[dfa.start]
-        log_z.append(math.log(w) + log_scale if w else -math.inf)
-        if i < n_max:
-            key = tuple(v)
-            if key not in seen:
-                seen[key] = [_row(v, st.targets) for st in pushed]
-            for st, row in zip(pushed, seen[key]):
-                st.rows.append(row)
+    outs = [dfa.transitions_from(q) for q in range(dfa.n_states)]
+    targets = [[dst for _sym, dst in o] for o in outs]
+    accepting = [dfa.is_accepting(q) for q in range(dfa.n_states)]
+    degrees = [len(t) + a for t, a in zip(targets, accepting)]
+    big_d = math.lcm(*degrees)
+    scale = [big_d // k for k in degrees]
+    log_d = math.log(big_d)
+    if base is None:
+        pushed = [StateTable([sym for sym, _dst in o], t, [None]) for o, t in zip(outs, targets)]
+        frontier = Frontier([s * a for s, a in zip(scale, accepting)], 1, ())
+        w = frontier.weights[dfa.start]
+        log_z = [math.log(w) - log_d if w else -math.inf]
+    else:
+        if base.dfa is not dfa:
+            raise UsageError("a sampler table widens only a table of the same DFA")
+        pushed = [StateTable(st.symbols, st.targets, st.rows.copy()) for st in base.pushed]
+        frontier = base.frontier
+        log_z = list(base.allsum_z)
+    rows = [st.rows for st in pushed]
+    # a state with one arc takes it whenever its target carries weight
+    one_arc = [(r, t[0]) for r, t in zip(rows, targets) if len(t) == 1]
+    more_arcs = [(r, t) for r, t in zip(rows, targets) if len(t) != 1]
+    v, removed, cycle = frontier.weights, frontier.removed, deque(frontier.cycle)
+    # before the weights repeat: the first bin of each weight vector this
+    # build has seen, and the (gcd, start weight) of each bin it computed
+    last = len(log_z) - 1
+    seen = {tuple(v): last}
+    computed: list[tuple[int, int]] = []
+    for i in range(last + 1, n_max + 1):
+        if cycle:
+            period = len(cycle)
+            for r in rows:
+                r.append(r[-period])
+            g, w = cycle[0]
+            cycle.rotate(-1)
+            removed *= g
+        else:
+            for r, t in one_arc:
+                r.append(_CERTAIN if v[t] else None)
+            for r, t in more_arcs:
+                r.append(_row(v, t))
+            v = [s * sum(map(v.__getitem__, t)) for s, t in zip(scale, targets)]
+            g = math.gcd(*v) or 1
+            if g != 1:
+                v = [x // g for x in v]
+            removed *= g
+            w = v[dfa.start]
+            computed.append((g, w))
+            j = seen.setdefault(tuple(v), i)
+            if j != i:
+                # bins j+1..i, the next bin's first
+                cycle.extend(computed[j - last:])
+        log_z.append(math.log(w) + (math.log(removed) - (i + 1) * log_d) if w else -math.inf)
     z = tuple(log_z)
     return SamplerTables(
         dfa=dfa,
@@ -137,6 +185,7 @@ def build_sampler_tables(dfa: PartialDfa, n_min: int, n_max: int) -> SamplerTabl
         pushed=pushed,
         allsum_z=z,
         valid_lengths=valid_lengths(z, n_min, n_max),
+        frontier=Frontier([] if cycle else v, removed, tuple(cycle)),
     )
 
 

@@ -97,6 +97,51 @@ def uniform_policy_beta_exact(dfa: PartialDfa, n_top: int) -> list[list[Fraction
     return beta
 
 
+def path_weights(dfa: PartialDfa, n_max: int):
+    """For i = 0..n_max, exact path weights V_i over the states and the log
+    scale that turns them into beta: log beta_i(q) = log V_i(q) + scale_i.
+
+    The plain recursion, every bin summed: with d_q the number of choices at
+    q (its transitions, plus stopping when accepting) and D their lcm,
+    W_0(q) = [q accepting] * D/d_q and W_i(q) = D/d_q * (sum of W_{i-1} over
+    q's targets); V_i is W_i over the gcd of its entries.
+    """
+    outs = [[dst for _sym, dst in dfa.transitions_from(q)] for q in range(dfa.n_states)]
+    accepting = [dfa.is_accepting(q) for q in range(dfa.n_states)]
+    degrees = [len(o) + a for o, a in zip(outs, accepting)]
+    big_d = math.lcm(*degrees)
+    scale = [big_d // k for k in degrees]
+    row, removed = [s * a for s, a in zip(scale, accepting)], 1
+    yield -math.log(big_d), row
+    for i in range(1, n_max + 1):
+        row = [s * sum(map(row.__getitem__, o)) for s, o in zip(scale, outs)]
+        g = math.gcd(*row) or 1
+        row = [w // g for w in row]
+        removed *= g
+        yield math.log(removed) - (i + 1) * math.log(big_d), row
+
+
+def plain_sampler_tables(dfa: PartialDfa, n_max: int):
+    """The rows of every state and allsum_z, bins 0..n_max, from
+    ``path_weights``: bin i of a row normalizes the targets' V_{i-1} by
+    their total, and allsum_z[i] is the start state's log beta_i."""
+    rows = [[None] for _ in range(dfa.n_states)]
+    allsum_z = []
+    for i, (log_scale, v) in enumerate(path_weights(dfa, n_max)):
+        w = v[dfa.start]
+        allsum_z.append(math.log(w) + log_scale if w else -math.inf)
+        if i == n_max:
+            break
+        for q, state_rows in enumerate(rows):
+            masses = [v[dst] for _sym, dst in dfa.transitions_from(q)]
+            total = sum(masses)
+            state_rows.append(
+                tuple(sum(masses[:k + 1]) / total for k in range(len(masses)))
+                if total else None
+            )
+    return rows, tuple(allsum_z)
+
+
 class WeightedDfa:
     """Deterministic automaton whose transitions carry (target, weight) pairs
     and whose states carry accept weights, over an explicit semiring."""

@@ -63,9 +63,9 @@ def test_generate_builds_a_sampler_table_only_for_a_wider_horizon(tmp_path, monk
     builds = []
     build = langlib.build_sampler_tables
 
-    def counted(dfa, n_min, n_max):
+    def counted(dfa, n_min, n_max, base=None):
         builds.append((n_min, n_max))
-        return build(dfa, n_min, n_max)
+        return build(dfa, n_min, n_max, base)
 
     monkeypatch.setattr(langlib, "build_sampler_tables", counted)
     _generate(tmp_path)

@@ -466,6 +466,18 @@ def test_shared_table_serves_narrow_range_exactly(name):
                     == sample_positive_regular(fresh, rng_fresh))
 
 
+@pytest.mark.parametrize("name", REGULAR_NAMES)
+def test_wider_horizon_reuses_the_narrow_rows(name, monkeypatch):
+    lang = get_language(name)
+    monkeypatch.setattr(lang, "_tables", None)
+    monkeypatch.setattr(lang, "_ranges", {})
+    narrow = lang.sampler_tables(0, 40)
+    wide = lang.sampler_tables(0, 500)
+    for n, w in zip(narrow.pushed, wide.pushed):
+        assert len(n.rows) == 41 and len(w.rows) == 501
+        assert all(a is b for a, b in zip(w.rows[:41], n.rows))
+
+
 def test_out_of_alphabet_symbols():
     with pytest.raises(UsageError):
         get_language("parity").contains([0, 2])

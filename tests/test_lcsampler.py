@@ -13,7 +13,6 @@ from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.lcsampler import (
     build_sampler_tables,
-    path_weights,
     sample_positive_regular,
     sample_string,
     valid_lengths,
@@ -28,6 +27,8 @@ from .oracles import (
     lehmann,
     lift_weights,
     parity_dfa,
+    path_weights,
+    plain_sampler_tables,
     repeat01_dfa,
     uniform_policy_beta_exact,
     uniform_policy_length_probs,
@@ -51,6 +52,19 @@ ROW_DIGESTS = {
     "modular-arithmetic": "fb297dd0d584e3005ba99ac8a909d103f26ae486757ba2210336c0d6000a2220",
     "dyck-2-3": "de05ca85c6436d0b9546f815118f704c35ef1e2e9e1db7bad7ff639b986037c9",
     "first": "f9ecd22b3c220ed2b017d257b5236b97b54c698279cba52e634f91bd1351511d",
+}
+
+# SHA-256 of repr(allsum_z) at n_max 500, per shipped DFA, pinned from the
+# plain recursion that sums every bin.  Each entry is a float expression
+# over exact integers, so these hold on every IEEE platform.
+ALLSUM_DIGESTS = {
+    "even-pairs": "e7065188a39b8ec618057953e48325bbda5176b3615c3cf946dbe367d6c52639",
+    "repeat-01": "af6106c635a93f3300ec0aa383c15cec6242c6ae60f9d77d96e2803aba207fd8",
+    "parity": "3768f1961c043b97b5658da39dbfb52d7ba9d7a84a2eddd7a73f7f5e86cf902d",
+    "cycle-navigation": "29a8207a6cd9025a9dfb3aadaf009c3e01bf926e1606e8cfa1f3c6ea5fe0730f",
+    "modular-arithmetic": "aed0b48a5cef8f24b2c5c00e9dc76cd111c950ffeb676bd46fb0591483ee4729",
+    "dyck-2-3": "34c173ed9b3f899aa4c917ab0d86c7233484037f1dd0706bb8c0756acbd38af6",
+    "first": "8555a647cd8072a560b843544b27bc11dd2bf43b75604f1c4d44ca9d4ed0a7e9",
 }
 
 
@@ -212,6 +226,65 @@ def test_row_digest_at_n_max_500(name):
     tables = build_sampler_tables(get_language(name).dfa, 0, 500)
     rows = [st.rows for st in tables.pushed]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ROW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", REGULAR_NAMES)
+def test_allsum_digest_at_n_max_500(name):
+    tables = build_sampler_tables(get_language(name).dfa, 0, 500)
+    assert hashlib.sha256(repr(tables.allsum_z).encode()).hexdigest() == ALLSUM_DIGESTS[name]
+
+
+def _widened(dfa, horizons):
+    tables = None
+    for n_max in horizons:
+        tables = build_sampler_tables(dfa, 0, n_max, tables)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(_all_dfas()))
+def test_every_build_route_matches_the_plain_recursion(name):
+    """A fresh build and tables widened step by step hold exactly the bins of
+    the plain recursion, across the point where the weights start to cycle
+    and in the cycle itself, where each bin's gcd comes from the bin one
+    period back."""
+    dfa = _all_dfas()[name]
+    rows, allsum_z = plain_sampler_tables(dfa, 500)
+    want_lengths = tuple(n for n, z in enumerate(allsum_z) if z > -math.inf)
+    routes = {
+        "fresh": build_sampler_tables(dfa, 0, 500),
+        "3-40-80-500": _widened(dfa, (3, 40, 80, 500)),
+        "40-500": _widened(dfa, (40, 500)),
+    }
+    for route, tables in routes.items():
+        assert [st.rows for st in tables.pushed] == rows, route
+        assert tables.allsum_z == allsum_z, route
+        assert tables.valid_lengths == want_lengths, route
+
+
+@pytest.mark.parametrize("name,period", [
+    ("parity", 1), ("modular-arithmetic", 2), ("repeat-01", 2), ("dyck-2-3", 0),
+])
+def test_route_cases_cover_cycles_of_each_kind(name, period):
+    """The route test above sees a cycle of period 1, cycles of period 2 and
+    weights that never cycle within 500 bins."""
+    tables = build_sampler_tables(get_language(name).dfa, 0, 500)
+    assert len(tables.frontier.cycle) == period
+    assert bool(tables.frontier.weights) == (period == 0)
+
+
+def test_widening_leaves_the_base_table_as_it_was():
+    base = build_sampler_tables(get_language("modular-arithmetic").dfa, 0, 40)
+    rows, allsum_z = [list(st.rows) for st in base.pushed], base.allsum_z
+    for n_max in (80, 500):
+        build_sampler_tables(base.dfa, 0, n_max, base)
+    assert [st.rows for st in base.pushed] == rows
+    assert base.allsum_z is allsum_z and base.n_max == 40
+
+
+def test_widening_requires_the_same_dfa():
+    base = build_sampler_tables(parity_dfa(), 0, 4)
+    with pytest.raises(UsageError, match="same DFA"):
+        build_sampler_tables(parity_dfa(), 0, 8, base)
 
 
 def test_push_weights_parity_of_available_bins():
