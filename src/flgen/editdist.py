@@ -1,22 +1,45 @@
-"""Exact edit distance from a string to a regular language: ``edit_distance``
-is Wagner's column DP (Wagner 1974, *Order-n correction for regular
-languages*) with each input symbol's column step folded into one min-plus
-transfer matrix over the DFA states (Mohri 2003, *Edit-distance of weighted
-automata*, for the min-plus framing), and each block of up to k symbols into
-the min-plus product of their matrices.  Per DFA, k is the largest block size
-whose tables, all levels 1..k together, hold at most ``_TABLE_ENTRIES``
-entries, never less than 2 and never more than ``_MAX_BLOCK``: 11 on the
-two-state DFAs, 8 on even-pairs and 2 on the others.  The tables cost
-O(|Σ|^k · |Q|³ + depth · |Q|³) once per DFA and are held, keyed by the DFA,
-for as long as it lives (the shipped DFAs for the life of the process).  A
-word then costs ⌊|w|/k⌋ sequential min-plus steps for the columns at block
-starts, and batched steps, each gathering at most ``_BATCH_ENTRIES`` table
-entries, for the columns inside the blocks: O(|w| · |Q|²) in all.  The
-walk-back turns the kept int64 columns into Python ints ``_WALK_COLUMNS`` at
-a time, from the end, as it reaches them, so the peak memory grows by about
-0.3 KB per symbol on modular-arithmetic (|Q| = 27).  The chain-WFA product
-route after it is the reference the tests check it against; they lift the
-DFA to the weighted DFA it takes.
+"""Exact edit distance from a string to a regular language.
+
+``edit_distance`` is Wagner's column DP (Wagner 1974, *Order-n correction for
+regular languages*): column i holds, per DFA state, the fewest edits that
+turn the first i symbols into a string leading there, and each symbol's step
+is one min-plus product with a transfer matrix (Mohri 2003, *Edit-distance of
+weighted automata*).  Over a fixed DFA, columns taken relative to their
+minimum take few values, the fact Ukkonen (1985, *Finding approximate
+patterns in strings*) used to turn approximate matching into a DFA.  So each
+trim DFA gets a lazily built automaton of normalized columns: the first time
+a column meets a symbol, one numpy product finds the next column and the
+rise in the minimum; after that the step is one list lookup.  The walk-back's
+move into a state depends only on the previous column, the symbol and the
+state, so it too is found once.  The shipped DFAs reach 2 (parity) to 4,665
+(modular-arithmetic) columns.
+
+A word of n symbols costs n lookups forward and one per move back, plus
+O(|Q|²) numpy work per new (column, symbol) pair and O(arcs) per new move.
+It keeps a column code and a symbol id per position, about 16 B per symbol;
+a held column costs O(|Q| + |Σ|).  The trade-off: where the columns diverge
+(start -0-> A with a 0-loop, start -1-> B with a 1-loop, on 0^N 1^2N),
+almost every position is a new column, and the word costs about ten times a
+plain column DP, still exactly.  The automaton is held while its DFA lives;
+checked between words, one holding more than ``_MAX_COLUMNS`` columns starts
+again empty, which changes no result.  The chain-WFA product route at the
+end of the module is the reference the tests check it against.
+
+A start s with no incoming arcs (modular-arithmetic, even-pairs, first) has
+entry i in column i, the deletion of everything so far, which would make a
+new column at every position.  So the key clips N[s] to M + 2, with N the
+normalized column and M the largest other entry.  This is exact.  Suppose
+N[s] >= M + 2 and q != s.  A route from s to q leaves along an arc s -b-> r
+with r != s, and costs at least N[s] + [b != a] + hop(r, q), or N[s] + 1 +
+hop(s, q) if it deletes a.  Deleting a at r and inserting up to q costs N[r]
++ 1 + hop(r, q) <= M + 1 + hop(r, q), strictly less.  So s's entry produces
+or ties no entry of the next column, and passes none of the walk-back's
+tests as a source.  Each entry rises by at most 1 (a deletion), so the next
+column's M + 2 is at most s's next entry, and a clipped and an exact column
+give the same next key.  Wherever s's entry is read, it is exact: a clipped
+entry exceeds every other, so it is never the cheapest accepting state, and
+the walk-back reaches s at column i only through a test its entry passes,
+and an exact entry follows only exact ones.
 """
 
 from __future__ import annotations
@@ -31,15 +54,9 @@ import numpy as np
 from .automata import EPSILON, PartialDfa, Wfa, hop_distances, require_trim
 from .errors import UsageError
 
-#: the most entries the block tables of one DFA hold, all levels together,
-#: unless k = 2 alone goes over it
-_TABLE_ENTRIES = 2**14
-#: the most table entries one batched min-plus step gathers
-_BATCH_ENTRIES = 2**15
-#: the largest block size, which only a one-symbol alphabet reaches
-_MAX_BLOCK = 16
-#: how many kept columns the walk-back turns into Python ints at a time
-_WALK_COLUMNS = 2**10
+#: the most columns one DFA's automaton holds before the next word resets it;
+#: the shipped DFAs reach at most 4,665
+_MAX_COLUMNS = 2**14
 
 
 @dataclass(frozen=True)
@@ -48,73 +65,89 @@ class EditDistanceResult:
     witness: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """What ``edit_distance`` needs of one trim DFA, whatever the word."""
+class _Automaton:
+    """The normalized columns of one trim DFA seen so far and the steps
+    between them.  A column's code is its id times |Σ|, so the step of
+    column code c on symbol a is entry c + a of the step lists."""
 
-    col0: np.ndarray  # the column of the empty prefix
-    k: int  # the block size
-    place: np.ndarray  # [i, j]: |Σ|^(j - i) where i <= j, else 0
-    # levels 1..k one after another: the table of symbols a1 … aj, the min-plus
-    # product T_a1 ⊗ … ⊗ T_aj transposed ([q, p]) so that a step reduces over
-    # the last axis, is blocks[offsets[j - 1] + (a1 … aj read in base |Σ|)]
-    blocks: np.ndarray
-    offsets: np.ndarray  # where levels 1..k-1 begin in ``blocks``
-    top: list[np.ndarray]  # level k by code, for the sequential steps
-    into: list[list[tuple[int, int]]]  # the arcs into each state, in (source, symbol) order
+    def __init__(self, dfa: PartialDfa):
+        """With hop[p, q] the fewest arcs from p to q, T_a[p, q] = min(1 +
+        hop[p, q], min over arcs p -b-> r of [b != a] + hop[r, q]): delete a,
+        or read it along any arc, then insert along a shortest path."""
+        require_trim(dfa, "edit distance")
+        hop = hop_distances(dfa)
+        after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
+        either = np.minimum(hop[:-1], after.min(axis=1)) + 1
+        self.transfer = np.minimum(either[None], after.transpose(1, 0, 2))  # [a, p, q]
+        self.into: list[list[tuple[int, int]]] = [[] for _ in range(dfa.n_states)]
+        for p, row in enumerate(dfa.rows):  # the arcs into each state, in (source, symbol) order
+            for b, q in enumerate(row):
+                if q >= 0:
+                    self.into[q].append((p, b))
+        self.n_syms = len(dfa.alphabet)
+        self.clip = None if self.into[dfa.start] else dfa.start  # the state to clip
+        self.first = tuple(hop[dfa.start].tolist())  # the column of the empty prefix
+        self.reset()
+
+    def reset(self) -> None:
+        self.codes: dict[tuple[int, ...], int] = {}
+        self.cols: list[tuple[int, ...]] = []
+        self.steps: list[int] = []  # the next column's code, -1 until computed
+        self.rises: list[int] = []  # the rise in the minimum
+        self.moves: list[list | None] = []  # per state, the move into it, once needed
+        self._intern(self.first)
+
+    def _intern(self, col: tuple[int, ...]) -> int:
+        code = self.codes.get(col)
+        if code is None:
+            code = self.codes[col] = len(self.cols) * self.n_syms
+            self.cols.append(col)
+            self.steps += [-1] * self.n_syms
+            self.rises += [0] * self.n_syms
+            self.moves += [None] * self.n_syms
+        return code
+
+    def step(self, k: int) -> int:
+        """The code of the column after code + symbol k, computed once."""
+        col, a = divmod(k, self.n_syms)
+        total = (np.array(self.cols[col])[:, None] + self.transfer[a]).min(axis=0).tolist()
+        low = min(total)
+        key = [v - low for v in total]
+        s = self.clip
+        if s is not None:
+            key[s] = min(key[s], max(key[:s] + key[s + 1:], default=0) + 2)
+        self.steps[k], self.rises[k] = self._intern(tuple(key)), low
+        return self.steps[k]
+
+    def move(self, k: int, q: int) -> tuple[int, int | None, bool]:
+        """The move into q at the column after code + symbol k, found once, as
+        (source, symbol or None for a deletion, consumed): the first arc whose
+        step accounts for the entry, else the deletion, else an insertion."""
+        row = self.moves[k]
+        if row is None:
+            row = self.moves[k] = [None] * len(self.first)
+        if row[q] is None:
+            col, a = divmod(k, self.n_syms)
+            prev, cur = self.cols[col], self.cols[self.steps[k] // self.n_syms]
+            c = cur[q] + self.rises[k]
+            arc = next((pb for pb in self.into[q] if prev[pb[0]] + (pb[1] != a) == c), None)
+            if arc is not None:
+                row[q] = (*arc, True)
+            elif prev[q] + 1 == c:
+                row[q] = (q, None, True)
+            else:
+                row[q] = self.inserted(cur, q)
+        return row[q]
+
+    def inserted(self, col: tuple[int, ...], q: int) -> tuple[int, int, bool]:
+        """The insertion into q from the first source one edit cheaper."""
+        p, b = next(pb for pb in self.into[q] if col[pb[0]] + 1 == col[q])
+        return p, b, False
 
 
-# weak keys: a DFA's tables go with it; the shipped DFAs, which langlib
+# weak keys: a DFA's automaton goes with it; the shipped DFAs, which langlib
 # caches, keep theirs for the life of the process
-_TABLES: weakref.WeakKeyDictionary[PartialDfa, _Tables] = weakref.WeakKeyDictionary()
-
-
-def _block_size(n_syms: int, n_states: int) -> int:
-    """The largest k up to ``_MAX_BLOCK`` whose levels 1..k fit in
-    ``_TABLE_ENTRIES``, and at least 2."""
-    def entries(k: int) -> int:
-        return sum(n_syms**j for j in range(1, k + 1)) * n_states**2
-
-    k = 2
-    while k < _MAX_BLOCK and entries(k + 1) <= _TABLE_ENTRIES:
-        k += 1
-    return k
-
-
-def _build_tables(dfa: PartialDfa) -> _Tables:
-    """With hop[p, q] the fewest arcs from p to q, T_a[p, q] = min(1 + hop[p, q],
-    min over arcs p -b-> r of [b != a] + hop[r, q]): delete a, or read it along
-    any arc (a match or a substitution), then insert along a shortest path.
-    Level j + 1 prepends a symbol to level j, T_a ⊗ P_u for every a and u,
-    in batches of at most ``_BATCH_ENTRIES`` entries."""
-    require_trim(dfa, "edit distance")
-    n_states, n_syms = dfa.n_states, len(dfa.alphabet)
-    hop = hop_distances(dfa)
-    after = hop[dfa.delta]  # [p, b, q]: read b along the arc out of p, then insert to q
-    # delete the symbol, or read it along any arc as a substitution
-    either = np.minimum(hop[:-1], after.min(axis=1)) + 1
-    transfer = np.minimum(either[None], after.transpose(1, 0, 2))  # [a, p, q]
-    k = _block_size(n_syms, n_states)
-    offsets = np.cumsum([0] + [n_syms**j for j in range(1, k + 1)])
-    blocks = np.empty((offsets[-1], n_states, n_states), dtype=np.int64)
-    blocks[:n_syms] = transfer.transpose(0, 2, 1)
-    rows = max(1, _BATCH_ENTRIES // n_states**3)
-    for lo, hi in zip(offsets, offsets[1:-1]):
-        level = blocks[lo:hi]
-        prepended = blocks[hi:hi + n_syms * len(level)].reshape(n_syms, *level.shape)
-        for t_a, out in zip(transfer, prepended):
-            # (T_a ⊗ P_u)ᵀ[q, p] = min over r of P_uᵀ[q, r] + T_a[p, r]
-            for u in range(0, len(level), rows):
-                np.minimum.reduce(level[u:u + rows, :, None, :] + t_a, axis=3, out=out[u:u + rows])
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-    for p, row in enumerate(dfa.rows):
-        for b, q in enumerate(row):
-            if q >= 0:
-                into[q].append((p, b))
-    j = np.arange(k)
-    place = np.triu(n_syms ** np.maximum(j - j[:, None], 0))
-    top = list(blocks[offsets[-2]:])
-    return _Tables(hop[dfa.start], k, place, blocks, offsets[:-2], top, into)
+_AUTOMATA: weakref.WeakKeyDictionary[PartialDfa, _Automaton] = weakref.WeakKeyDictionary()
 
 
 def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
@@ -125,81 +158,48 @@ def edit_distance(dfa: PartialDfa, word) -> EditDistanceResult:
     string leading from the start to q.  Column i comes from column i-1 by
     consuming word[i-1] along an arc (cost 0 on a match, 1 otherwise) or by
     deleting it (cost 1, same state); insertions (cost 1 along an arc) then
-    relax the column until it stops changing.
-
-    All of that is one min-plus product per symbol, col_i = col_{i-1} ⊗ T_a
-    with a = word[i-1] (see ``_build_tables``), and min-plus products are
-    associative over exact ints.  So the columns at block starts come k
-    symbols per step, col_{(b+1)k} = col_{bk} ⊗ (T_{w[bk]} ⊗ … ⊗ T_{w[bk+k-1]}),
-    from a table built once per DFA: one add and one min-reduction over
-    |Q|² entries in C each.  Every column inside a block then comes straight
-    from its block's start, col_{bk+j} = col_{bk} ⊗ P_{w[bk:bk+j]}, for all
-    blocks and j < k at once, in batches that gather at most
-    ``_BATCH_ENTRIES`` table entries each.  The columns are kept, and the
-    witness is walked back through them: into state q at column i it takes
-    the first arc in (source, symbol) order whose step costs col_i[q], else
-    the deletion if it does, else the insertion from the first source p with
-    col_i[p] + 1 = col_i[q].
+    relax the column until it stops changing: col_i = col_{i-1} ⊗ T_a.  The
+    forward pass follows the DFA's automaton of normalized columns (see the
+    module docstring) and keeps only each column's code and the running
+    minimum; the witness is walked back from the final column, one looked-up
+    move at a time.
 
     Ties, which fix the witness: into each state, a consuming step beats a
     deletion of equal cost; among arcs, the first in (source, symbol) order
     wins; an insertion replaces a step only when strictly cheaper.  The
     witness ends at the lowest-id cheapest accepting state.
     """
-    tables = _TABLES.get(dfa)
-    if tables is None:
-        tables = _TABLES[dfa] = _build_tables(dfa)
+    auto = _AUTOMATA.get(dfa)
+    if auto is None:
+        auto = _AUTOMATA[dfa] = _Automaton(dfa)
+    elif len(auto.cols) > _MAX_COLUMNS:
+        auto.reset()
     w = dfa.alphabet.ids(word)
 
-    n_states, k = dfa.n_states, tables.k
-    n_blocks = len(w) // k
-    padded = np.zeros((n_blocks + 1) * k, dtype=np.intp)  # whole blocks
-    padded[: len(w)] = w
-    codes = padded.reshape(-1, k) @ tables.place  # [b, j]: w[bk:bk+j+1] in base |Σ|
-    # cols[b, j]: column bk + j, the padding's columns past the word unused
-    cols = np.empty((n_blocks + 1, k, n_states), dtype=np.int64)
-    cols[0, 0] = tables.col0
-    starts = cols[:, 0]
-    reach = np.empty((n_states, n_states), dtype=np.int64)
-    add, least, top = np.add, np.minimum.reduce, tables.top
-    for prev, block, col in zip(starts, codes[:n_blocks, -1].tolist(), starts[1:]):
-        least(add(top[block], prev, out=reach), axis=1, out=col)
-    ids = codes[:, :-1] + tables.offsets
-    rows = max(1, _BATCH_ENTRIES // ((k - 1) * n_states**2))
-    for b in range(0, n_blocks + 1, rows):
-        inner = tables.blocks[ids[b:b + rows]]  # [b, j, q, p]
-        inner += starts[b:b + rows, None, None]
-        least(inner, axis=3, out=cols[b:b + rows, 1:])
+    steps, rises = auto.steps, auto.rises
+    code, low, codes = 0, 0, []  # codes[i]: the code of column i
+    for a in w:
+        codes.append(code)
+        k = code + a
+        code = steps[k]
+        if code < 0:
+            code = auto.step(k)
+        low += rises[k]
 
-    into, flat = tables.into, cols.reshape(-1, n_states)
-    i = len(w)
-    lo = max(0, i + 1 - _WALK_COLUMNS)
-    part = flat[lo:i + 1].tolist()  # columns lo..i as Python ints
-    q = min(dfa.accepting, key=lambda s: (part[-1][s], s))  # the lowest-id cheapest
-    distance = part[-1][q]
-    witness = []
+    i, last = len(w), auto.cols[code // auto.n_syms]
+    q = min(dfa.accepting, key=lambda s: (last[s], s))  # the lowest-id cheapest
+    distance = low + last[q]
+    moves, witness = auto.moves, []
     while i or q != dfa.start:
-        if i == lo and i:  # column i - 1 is next: turn the chunk that ends at i
-            lo = max(0, i + 1 - _WALK_COLUMNS)
-            part = flat[lo:i + 1].tolist()
-        cur, arcs = part[i - lo], into[q]
-        c = cur[q]
-        arc = None
         if i:
-            prev, a = part[i - 1 - lo], w[i - 1]
-            for p, b in arcs:
-                if prev[p] + (b != a) == c:  # consumed, along the first arc that costs c
-                    arc = p, b
-                    break
-            if arc is None and prev[q] + 1 == c:  # deleted
-                i -= 1
-                continue
-        if arc is None:  # inserted, from the first source one edit cheaper
-            arc = next(pb for pb in arcs if cur[pb[0]] + 1 == c)
-        else:
-            i -= 1
-        q, b = arc
-        witness.append(b)
+            k = codes[i - 1] + w[i - 1]
+            move = moves[k] and moves[k][q] or auto.move(k, q)
+        else:  # column 0's insertions
+            move = auto.inserted(auto.first, q)
+        q, b, consumed = move
+        i -= consumed
+        if b is not None:
+            witness.append(b)
     return EditDistanceResult(distance, tuple(reversed(witness)))
 
 

@@ -217,7 +217,7 @@ EDGE_DFAS = {
 
 
 def test_witness_matches_column_oracle():
-    """The transfer-matrix DP reports the same distance and witness as the
+    """The automaton's DP reports the same distance and witness as the
     per-column DP that records each move: on every word of length <= 4 over
     each shipped alphabet, 20 seeded words of length 0-500 per language, and
     every word of length <= 7 on the edge-case DFAs."""
@@ -235,52 +235,117 @@ def test_witness_matches_column_oracle():
 
 
 def test_every_short_word_on_edge_dfas_matches_column_oracle():
-    """Every word of length 0-9 on each edge-case shape, so the batched
-    columns inside a block meet every shape at every offset, and the
-    three-state shapes, whose block size is 9, a full block step too."""
+    """Every word of length 0-9 on each edge-case shape, so each shape's
+    automaton meets every column that a short word reaches, and every move
+    back from it."""
     for dfa in EDGE_DFAS.values():
         for n in range(10):
             for word in itertools.product(range(2), repeat=n):
                 assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
 
 
-def test_block_boundaries_match_column_oracle():
-    """Around the block size k of each DFA: on every shipped DFA, seeded
-    random words at every length 0 to 3k + 1, so a word ends on, just
-    before and just after each of its first three block starts; on each
-    edge-case shape, every word of length <= k + 1; on a one-symbol
-    alphabet, where only the cap on the block size bounds k, every word of
-    length 0 to 3k + 1."""
+def test_fixed_length_words_match_column_oracle():
+    """On every shipped DFA, three seeded random words at every length 0 to
+    34; on each edge-case shape, every word of length <= 12; on a
+    one-symbol alphabet, every word of length 0 to 49."""
     rng = default_rng(3_141)
     for name in REGULAR_NAMES:
         dfa = get_language(name).dfa
-        edit_distance(dfa, [])
-        k = editdist._TABLES[dfa].k
-        for n in range(3 * k + 2):
+        for n in range(35):
             for _ in range(3):
                 word = _random_word(rng, len(dfa.alphabet), n, min_len=n)
                 assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), (name, word)
     for dfa in EDGE_DFAS.values():
-        edit_distance(dfa, [])
-        k = editdist._TABLES[dfa].k
-        for n in range(k + 2):
+        for n in range(13):
             for word in itertools.product(range(2), repeat=n):
                 assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
     even = PartialDfa(2, Alphabet(["a"]), {(0, 0): 1, (1, 0): 0}, 0, [0])
-    edit_distance(even, [])
-    k = editdist._TABLES[even].k
-    for n in range(3 * k + 2):
+    for n in range(50):
         assert edit_distance(even, [0] * n) == wagner_column_dp(even, [0] * n), n
+
+
+# start -0-> A with a 0-loop, start -1-> B with a 1-loop: the gap between the
+# entries of A and B grows with the word, so nearly every position makes a
+# new column
+DIVERGING = PartialDfa(3, BITS, {(0, 0): 1, (1, 0): 1, (0, 1): 2, (2, 1): 2}, 0, [1, 2])
+
+
+def test_diverging_columns_match_column_oracle():
+    """Exact where the columns never repeat: every word of length <= 11,
+    0^N 1^(2N) for N = 5, 50 and 500, and seeded words of up to 300
+    symbols."""
+    words = [list(w) for n in range(12) for w in itertools.product(range(2), repeat=n)]
+    words += [[0] * n + [1] * (2 * n) for n in (5, 50, 500)]
+    rng = default_rng(2_718)
+    words += [_random_word(rng, 2, 300) for _ in range(40)]
+    for word in words:
+        assert edit_distance(DIVERGING, word) == wagner_column_dp(DIVERGING, word), word
+
+
+def test_clipped_start_entry_matches_column_oracle():
+    """A start with no incoming arcs: its entry is the word's length, far
+    above the clip once the word is long, yet the distance, the witness and
+    the held columns stay as the oracle and the clip say; every word of
+    length <= 8 agrees on three small such shapes; on the language {ε},
+    every word is deleted whole."""
+    # {ε} ∪ 0(0|1)*: the start accepts, so the final choice reads its entry
+    zero_first = PartialDfa(2, BITS, {(0, 0): 1, (1, 0): 1, (1, 1): 1}, 0, [0, 1])
+    sealed = [zero_first, EDGE_DFAS["no-arcs-into-start"], get_language("modular-arithmetic").dfa]
+    rng = default_rng(1_985)
+    for dfa in sealed:
+        n_syms = len(dfa.alphabet)
+        words = [[1] * 1_000, [1] + [0] * 999]
+        words += [_random_word(rng, n_syms, 300) for _ in range(30)]
+        for word in words:
+            assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
+    # without the clip, 1^1000 alone would make 1,000 columns
+    assert len(editdist._AUTOMATA[zero_first].cols) <= 4
+    assert edit_distance(zero_first, [1]) == EditDistanceResult(1, ())  # the start wins the tie
+    assert edit_distance(zero_first, [1] * 1_000) == EditDistanceResult(1, (0,) + (1,) * 999)
+    # small shapes on which a clip to (the largest other entry) + 1 would
+    # take an arc out of the start that only ties, and so a wrong witness
+    for arcs, accepting in [({(0, 0): 1, (0, 1): 1, (1, 0): 1}, [1]),
+                            ({(0, 0): 1, (0, 1): 2, (1, 1): 2, (2, 1): 1}, [2]),
+                            ({(0, 0): 1, (1, 0): 2, (1, 1): 1, (2, 0): 2}, [1, 2])]:
+        dfa = PartialDfa(1 + max(arcs.values()), BITS, arcs, 0, accepting)
+        for n in range(9):
+            for word in itertools.product(range(2), repeat=n):
+                assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), (arcs, word)
+    epsilon = PartialDfa(1, BITS, {}, 0, [0])
+    for n in (0, 1, 7, 1_000):
+        assert edit_distance(epsilon, [1] * n) == EditDistanceResult(n, ())
+        assert edit_distance(epsilon, [1] * n) == wagner_column_dp(epsilon, [1] * n)
+
+
+def test_reset_between_words_changes_no_result(monkeypatch):
+    """With the column cap at 3, the automata of the larger DFAs start again
+    before nearly every word, and every word still matches the oracle."""
+    resets = []
+    reset = editdist._Automaton.reset
+
+    def counted(auto):
+        resets.append(auto)
+        reset(auto)
+
+    monkeypatch.setattr(editdist, "_MAX_COLUMNS", 3)
+    monkeypatch.setattr(editdist._Automaton, "reset", counted)
+    rng = default_rng(1_974)
+    for dfa in (get_language("dyck-2-3").dfa, get_language("modular-arithmetic").dfa, DIVERGING):
+        before = len(resets)
+        for _ in range(40):
+            word = _random_word(rng, len(dfa.alphabet), 60)
+            assert edit_distance(dfa, word) == wagner_column_dp(dfa, word), word
+        assert len(resets) - before >= 20
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 def test_long_word_peak_memory_per_symbol():
     """One 20,000-symbol modular-arithmetic word raises the peak RSS by at
-    most 0.75 KB per symbol: the kept int64 columns, with no temporary that
-    grows with the word past a bounded batch, and a Python-int copy of no
-    more than one walk-back chunk of them.  It runs in a child process,
-    after the tables are built, so that neither this process's peak nor the
-    one-off build counts.  The child reads its peak as VmHWM, the
+    most 128 B per symbol: the word's ids and one column code per position,
+    16 B, the columns and moves it adds to the automaton, and nothing else
+    that grows with the word.  It runs in a child process, after a short
+    word has set up the automaton, so that neither this process's peak nor
+    the one-off set-up counts.  The child reads its peak as VmHWM, the
     high-water mark of its own address space: Linux starts an exec'd
     child's ``ru_maxrss`` at its parent's size, which would hide the growth
     whenever this process is the larger."""
@@ -304,7 +369,7 @@ def test_long_word_peak_memory_per_symbol():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) <= 768
+    assert float(proc.stdout) <= 128
 
 
 def test_long_word_matches_column_oracle():
@@ -315,13 +380,13 @@ def test_long_word_matches_column_oracle():
 
 
 def test_tables_are_built_once_per_dfa(monkeypatch):
-    build, built = editdist._build_tables, []
+    build, built = editdist._Automaton, []
 
     def counted(dfa):
         built.append(dfa)
         return build(dfa)
 
-    monkeypatch.setattr(editdist, "_build_tables", counted)
+    monkeypatch.setattr(editdist, "_Automaton", counted)
     first, second = (PartialDfa(2, BITS, {(0, 0): 1, (1, 1): 0}, 0, [0]) for _ in range(2))
     assert edit_distance(first, [0]) == EditDistanceResult(1, ())
     assert edit_distance(first, [1, 1, 0]) == EditDistanceResult(2, (0, 1))
@@ -445,7 +510,7 @@ def test_untrimmed_dfa_rejected():
     dfa = PartialDfa(2, BITS, {(0, 0): 0, (0, 1): 0}, 0, [0])
     with pytest.raises(UsageError):
         edit_distance(dfa, [0])
-    with pytest.raises(UsageError):  # no tables were kept from the first call
+    with pytest.raises(UsageError):  # no automaton was kept from the first call
         edit_distance(dfa, [])
 
 
