@@ -9,10 +9,10 @@ counting semiring), so every table entry is a correctly rounded quotient
 and the tables are the same on every IEEE platform.  The per-state local
 tables normalize the targets' weights within each remaining-length bin, and
 a draw walks them symbol by symbol.  A bin costs O(arcs) integer operations
-until its reduced weights repeat an earlier bin's; every later bin repeats
-that cycle and costs O(|Q|).  A table resumes from its last bin, so
-widening one to a larger n_max costs only the new bins.  Each draw step is
-one bisect over the state's fan-out.
+until its reduced weights cycle, which Brent's search finds keeping one
+saved weight vector; every later bin repeats that cycle and costs O(|Q|).
+A table resumes from its last bin, so widening one to a larger n_max costs
+only the new bins.  Each draw step is one bisect over the state's fan-out.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def build_sampler_tables(
     it is; ``removed`` is the product of those gcds, so that
     log beta_i(q) = log V_i(q) + log(removed) - (i+1) * log D.  Once V_i
     equals an earlier V_j, every later bin repeats the bin p = i - j before
-    it, gcd and start weight included, and needs no sums.
+    it, gcd and start weight included, and needs no sums.  Brent's cycle
+    search (1980) keeps one saved V_j, re-saved at each power-of-two bin.
     """
     require_range(n_min, n_max)
     require_trim(dfa, "sampling")
@@ -147,12 +148,10 @@ def build_sampler_tables(
     one_arc = [(r, t[0]) for r, t in zip(rows, targets) if len(t) == 1]
     more_arcs = [(r, t) for r, t in zip(rows, targets) if len(t) != 1]
     v, removed, cycle = frontier.weights, frontier.removed, deque(frontier.cycle)
-    # before the weights repeat: the first bin of each weight vector this
-    # build has seen, and the (gcd, start weight) of each bin it computed
-    last = len(log_z) - 1
-    seen = {tuple(v): last}
-    computed: list[tuple[int, int]] = []
-    for i in range(last + 1, n_max + 1):
+    # Brent's cycle search: the weights of the last power-of-two bin or of the
+    # bin the build resumes from, and the (gcd, start weight) of each bin since
+    saved, since = v, []
+    for i in range(len(log_z), n_max + 1):
         if cycle:
             period = len(cycle)
             for r in rows:
@@ -171,11 +170,12 @@ def build_sampler_tables(
                 v = [x // g for x in v]
             removed *= g
             w = v[dfa.start]
-            computed.append((g, w))
-            j = seen.setdefault(tuple(v), i)
-            if j != i:
-                # bins j+1..i, the next bin's first
-                cycle.extend(computed[j - last:])
+            since.append((g, w))
+            if v == saved:
+                # exactly one period, the next bin's first
+                cycle.extend(since)
+            elif i & (i - 1) == 0:
+                saved, since = v, []
         log_z.append(math.log(w) + (math.log(removed) - (i + 1) * log_d) if w else -math.inf)
     z = tuple(log_z)
     return SamplerTables(

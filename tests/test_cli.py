@@ -17,6 +17,7 @@ from flgen.dataset import (
     is_canonical_split,
     read_lines,
     read_split,
+    validate_split,
     write_split,
 )
 from flgen.errors import ConfigurationError
@@ -362,6 +363,23 @@ def test_validate_flags_a_positive_without_next_in_an_annotated_split(tmp_path, 
     assert capsys.readouterr().out.splitlines()[:1] == [
         f"{path}: example {line_no - 2}: positive example has no next sets in an annotated split"
     ]
+
+
+def test_validate_flags_a_positive_in_a_probe_split(tmp_path, capsys):
+    """An editdist-probe split holds only negatives, so one member labeled 1
+    is a violation, in memory and in the file that validate reads."""
+    lang = get_language("parity")
+    probes = generate_split(lang, "editdist-probe", 5, count=4, n_max=12)
+    member = LabeledExample((1,), lang.render((1,)), True)
+    split = DatasetSplit(probes.language, probes.role, probes.n_min, probes.n_max,
+                         probes.seed, [*probes.examples, member])
+    message = "editdist-probe split contains a positive example"
+    assert validate_split(split) == [message]
+    path = tmp_path / "parity.editdist-probe.jsonl"
+    write_split(split, path)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{path}: {message}"]
 
 
 def test_validate_flags_truncated_file(tmp_path, capsys):

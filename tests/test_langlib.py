@@ -3,7 +3,6 @@ for the regular languages, sampler invariants, and next-set checks."""
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from flgen.automata import EOS, dfa_accepts
 from flgen.errors import ConfigurationError, UsageError
@@ -535,6 +534,7 @@ def test_multiglyph_tokenization():
 def test_uniform_branch_conditional_uniformity():
     """Conditioned on the uniform proposal branch and a fixed length, the
     negatives are uniform over the complement slice."""
+    stats = pytest.importorskip("scipy.stats")
     lang = get_language("parity")
     rng = np.random.default_rng(2024)
     counts = {}

@@ -3,12 +3,17 @@ oracle, local tables, distributions."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flgen.automata import check_trim
+from flgen.automata import PartialDfa, check_trim
 from flgen.errors import ConfigurationError, UsageError
 from flgen.langlib import REGULAR_NAMES, get_language
 from flgen.lcsampler import (
@@ -20,6 +25,7 @@ from flgen.lcsampler import (
 from flgen.semiring import LOG, REAL, TROPICAL
 
 from .oracles import (
+    BITS,
     backward,
     enumerate_with_probs,
     even_pairs_dfa,
@@ -68,10 +74,26 @@ ALLSUM_DIGESTS = {
 }
 
 
+# Trim DFAs, found by a random search, whose reduced weights start to cycle
+# at bin 5 with period 3 and with period 4: a fresh build's cycle search has
+# saved the weights of bins 0, 1, 2 and 4, all before the cycle, and finds
+# it from a later save.
+PERIOD_3 = PartialDfa(8, BITS, {
+    (0, 0): 1, (0, 1): 6, (1, 0): 3, (3, 0): 0, (4, 1): 5, (5, 1): 2,
+    (6, 1): 7, (7, 1): 4,
+}, 0, [0, 2, 7])
+PERIOD_4 = PartialDfa(9, BITS, {
+    (0, 0): 5, (0, 1): 7, (1, 1): 7, (2, 0): 8, (3, 0): 4, (3, 1): 8,
+    (4, 0): 1, (4, 1): 8, (5, 1): 6, (6, 0): 2, (7, 1): 3,
+}, 0, [0, 2, 4, 5, 6, 8])
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def _all_dfas():
-    """The seven shipped DFAs and the inline ones."""
+    """The seven shipped DFAs, the inline ones and the two longer cycles."""
     dfas = {name: get_language(name).dfa for name in REGULAR_NAMES}
     dfas.update((f"inline {name}", make()) for name, make in ALL_DFAS.items())
+    dfas.update({"period 3": PERIOD_3, "period 4": PERIOD_4})
     return dfas
 
 
@@ -263,13 +285,45 @@ def test_every_build_route_matches_the_plain_recursion(name):
 
 @pytest.mark.parametrize("name,period", [
     ("parity", 1), ("modular-arithmetic", 2), ("repeat-01", 2), ("dyck-2-3", 0),
+    ("period 3", 3), ("period 4", 4),
 ])
 def test_route_cases_cover_cycles_of_each_kind(name, period):
-    """The route test above sees a cycle of period 1, cycles of period 2 and
-    weights that never cycle within 500 bins."""
-    tables = build_sampler_tables(get_language(name).dfa, 0, 500)
+    """The route test above sees cycles of periods 1 to 4 and weights that
+    never cycle within 500 bins."""
+    tables = build_sampler_tables(_all_dfas()[name], 0, 500)
     assert len(tables.frontier.cycle) == period
     assert bool(tables.frontier.weights) == (period == 0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_build_peak_memory_at_the_length_limit():
+    """A fresh dyck-2-3 build at MAX_LENGTH, whose weights never cycle,
+    raises the peak RSS by at most 8 MB: the tables it returns and the
+    cycle search's one saved weight vector and one (gcd, start weight) pair
+    per bin since, nothing that keeps a weight vector per bin.  It runs in a
+    child process, after a small build, so that neither this process's peak
+    nor the one-off set-up counts; the child reads its peak as VmHWM, as
+    ``test_long_word_peak_memory_per_symbol`` explains."""
+    code = textwrap.dedent("""\
+        from flgen.dataset import MAX_LENGTH
+        from flgen.langlib import get_language
+        from flgen.lcsampler import build_sampler_tables
+
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+        dfa = get_language("dyck-2-3").dfa
+        build_sampler_tables(dfa, 0, 40)
+        before = peak_kib()
+        build_sampler_tables(dfa, 0, MAX_LENGTH)
+        print((peak_kib() - before) / 1024)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 8
 
 
 def test_widening_leaves_the_base_table_as_it_was():
