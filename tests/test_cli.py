@@ -194,6 +194,27 @@ def test_generate_out_naming_a_file_exits_3(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
+def _aged_states(paths):
+    """Each file's bytes, inode and mtime, after setting its mtime to 1 s
+    past the epoch, so that a rewrite shows on any timestamp resolution."""
+    for p in paths:
+        os.utime(p, ns=(10**9, 10**9))
+    return _states(paths)
+
+
+def _states(paths):
+    return [(p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in paths]
+
+
+def test_generate_again_into_the_same_directory_leaves_every_file_untouched(tmp_path):
+    out = _generate(tmp_path, extra=["--annotate"])
+    paths = sorted(out.iterdir())
+    before = _aged_states(paths)
+    _generate(tmp_path, extra=["--annotate"])
+    assert sorted(out.iterdir()) == paths
+    assert _states(paths) == before
+
+
 def test_generate_infeasible_range_exits_2(tmp_path, capsys):
     rc = main(["generate", "--language", "repeat-01", "--seed", "0",
                "--out", str(tmp_path / "x"), "--min-len", "3", "--max-len", "3"])
@@ -299,7 +320,8 @@ def test_validate_decodes_json_only_in_the_header_of_a_written_split(
     an escape, and stack-manipulation's glyphs are longer than one character."""
     out = _generate(tmp_path, language=language, extra=["--annotate"])
     paths = [str(p) for p in sorted(out.iterdir())]
-    assert any('"next"' in line for line in (out / f"{language}.train.jsonl").open())
+    with (out / f"{language}.train.jsonl").open() as fh:
+        assert any('"next"' in line for line in fh)
     loads = []
     real_loads = json.loads
     monkeypatch.setattr(json, "loads", lambda *a, **k: loads.append(a) or real_loads(*a, **k))
@@ -614,6 +636,18 @@ def test_editdist_plain_lines_and_out_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.tsv", "strings.txt"]
 
 
+def test_editdist_again_to_the_same_out_leaves_the_file_untouched(tmp_path):
+    src = tmp_path / "strings.txt"
+    src.write_text("0101\n11\n")
+    report_path = tmp_path / "report.tsv"
+    argv = ["editdist", "--language", "parity", str(src), "--out", str(report_path)]
+    assert main(argv) == 0
+    before = _aged_states([report_path])
+    assert main(argv) == 0
+    assert _states([report_path]) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.tsv", "strings.txt"]
+
+
 @pytest.mark.parametrize("content, message", [
     (b"01\n0x1\n", "line 2: cannot tokenize '0x1'"),
     (b"01\n0\xff1\n", "line 2: not UTF-8"),
@@ -671,6 +705,18 @@ def test_editdist_unwritable_out_names_the_destination(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "No such file or directory" in err and "x.tsv" in err
     assert ".tmp" not in err
+
+
+def test_editdist_out_naming_a_directory_exits_3(tmp_path, capsys):
+    src = tmp_path / "strings.txt"
+    src.write_text("01\n")
+    out = tmp_path / "report.tsv"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["editdist", "--language", "parity", str(src), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert out.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.tsv", "strings.txt"]
 
 
 def test_editdist_missing_input_exits_3(tmp_path):

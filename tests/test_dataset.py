@@ -1,5 +1,11 @@
 """Dataset generation and serialization tests."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +25,7 @@ from flgen.dataset import (
     split_filename,
     split_settings,
     validate_split,
+    write_atomic,
     write_split,
 )
 from flgen.automata import EOS, Alphabet
@@ -27,6 +34,8 @@ from flgen.langlib import LANGUAGE_NAMES, get_language
 from flgen.perturb import sample_negative
 
 from .oracles import example_rng, json_dumps_split_lines, per_example_split
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_generate_example_properties():
@@ -383,6 +392,79 @@ def test_write_failing_part_way_keeps_the_earlier_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 3
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("abcdeX\n", "abcdef\n"),
+    ("abc\n", "abcdef\n"),
+    ("x" * (1 << 17) + "z\n", "x" * (1 << 17) + "y\n"),
+])
+def test_a_file_with_other_bytes_is_replaced(tmp_path, old, new):
+    """One differing byte at the same length, another length, or a
+    difference after many equal blocks: the new bytes land in a new file."""
+    path = tmp_path / "out.txt"
+    path.write_text(old)
+    inode = path.stat().st_ino
+    write_atomic(path, [new[:3], new[3:]])
+    assert path.read_text() == new
+    assert path.stat().st_ino != inode
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_fifo_destination_is_replaced_without_blocking(tmp_path):
+    """A FIFO is never opened, though its size, 0, equals that of an empty
+    report: it is replaced as any other file.  The write runs in a child
+    process with a timeout, so a read that blocks fails the test instead of
+    hanging it."""
+    path = tmp_path / "out.txt"
+    os.mkfifo(path)
+    code = "import sys; from flgen.dataset import write_atomic; write_atomic(sys.argv[1], [])"
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert path.is_file() and path.read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_a_symlink_is_replaced_even_to_the_same_bytes(tmp_path):
+    """Only a regular file is compared: a link to a file holding the bytes
+    is replaced by a regular file, as a plain rename does, and its target
+    is left alone."""
+    target = tmp_path / "target.txt"
+    target.write_text("x\n")
+    path = tmp_path / "out.txt"
+    path.symlink_to(target.name)
+    write_atomic(path, ["x\n"])
+    assert not path.is_symlink() and path.read_text() == "x\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("fails_at", ["open", "read"])
+def test_a_compare_that_raises_replaces_the_file(tmp_path, monkeypatch, fails_at):
+    """An OSError while comparing counts as a difference: the file with the
+    same bytes is replaced, and no error or temporary file is left."""
+    path = tmp_path / "out.txt"
+    path.write_text("x\n")
+    inode = path.stat().st_ino
+
+    class FailingRead(io.BytesIO):
+        def read(self, size=-1):
+            raise OSError(5, "Input/output error")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if Path(file) == path and mode == "rb":
+            if fails_at == "open":
+                raise PermissionError(13, "Permission denied")
+            return FailingRead()
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "open", failing_open, raising=False)
+    write_atomic(path, ["x\n"])
+    monkeypatch.undo()
+    assert path.read_text() == "x\n"
+    assert path.stat().st_ino != inode
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
